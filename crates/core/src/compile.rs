@@ -567,7 +567,7 @@ impl<'g> CompiledFlow<'g> {
             crate::steal::ScanSource::Compiled { cursors, .. } => Some(&cursors[me.index()].0),
             _ => None,
         });
-        let loop_start = Instant::now();
+        let loop_clock = crate::clock::LoopClock::start();
         for (pc, &code) in prog.code.iter().enumerate() {
             if code & SYNC_BIT != 0 {
                 let s = &prog.syncs[(code & !SYNC_BIT) as usize];
@@ -603,7 +603,7 @@ impl<'g> CompiledFlow<'g> {
         if let Some(c) = cursor {
             c.store(prog.code.len(), std::sync::atomic::Ordering::Relaxed);
         }
-        ctx.finish(loop_start.elapsed())
+        ctx.finish(loop_clock.stop())
     }
 }
 

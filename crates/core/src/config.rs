@@ -149,10 +149,11 @@ pub struct RioConfig {
     /// only; the field exists only with the `fault-inject` cargo feature).
     #[cfg(feature = "fault-inject")]
     pub fault_hook: Option<rio_stf::HookHandle>,
-    /// When `true`, workers timestamp task execution and waiting so the
+    /// When `true`, workers time task execution and waiting so the
     /// report can feed the efficiency decomposition (`rio-metrics`). Costs
-    /// two monotonic-clock reads per executed task plus two per blocking
-    /// wait; disable for peak-overhead measurements.
+    /// two tick-counter reads per executed task plus two clock reads per
+    /// blocking wait (gets that are ready at their first poll take none);
+    /// disable for peak-overhead measurements.
     pub measure_time: bool,
     /// In debug-style runs, verify at join time that every worker unrolled
     /// the same flow (same task count and access checksum) — assumption 2

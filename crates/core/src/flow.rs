@@ -46,12 +46,14 @@ use std::time::{Duration, Instant};
 use rio_stf::store::{ReadGuard, WriteGuard};
 use rio_stf::{Access, DataId, DataStore, ExecError, FlightEventKind, Mapping, TaskId, WorkerId};
 
+use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
 use crate::executor::RunOutcome;
 use crate::graph::stall_diagnostic;
 use crate::protocol::{
-    declare_read, declare_write, get_read_cx, get_write_cx, terminate_read, terminate_write,
-    AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, WaitCx, WaitVerdict,
+    declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
+    get_write_word_cx, terminate_read, terminate_write, AbortCause, AbortFlag, LocalDataState,
+    RecoveryCtx, SharedDataState, WaitCx, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::StatusTable;
@@ -189,7 +191,10 @@ impl Rio {
                             store,
                             next_task: TaskId::FIRST,
                             ops: OpCounts::default(),
-                            task_time: Duration::ZERO,
+                            clock: TaskClock::new(
+                                cfg.measure_time,
+                                cfg.record_spans || cfg.trace.is_some(),
+                            ),
                             idle_time: Duration::ZERO,
                             tasks_executed: 0,
                             checksum: FNV_OFFSET,
@@ -207,9 +212,13 @@ impl Rio {
                             flight,
                             rec,
                         };
-                        let loop_start = Instant::now();
+                        let loop_clock = LoopClock::start();
                         flow(&mut ctx);
-                        let loop_time = loop_start.elapsed();
+                        let lp = loop_clock.stop();
+                        let loop_time = lp.time;
+                        // Dynamic bodies are never retried, so no failure
+                        // is ever timed as retry time here.
+                        let (task_time, _) = ctx.clock.finish(lp, ctx.idle_time);
                         let trace = ctx.tracer.map(|tr| {
                             let mut wt = tr.finish();
                             wt.declares = ctx.ops.declares;
@@ -222,7 +231,7 @@ impl Rio {
                             worker: me,
                             tasks_executed: ctx.tasks_executed,
                             tasks_visited: ctx.next_task.0 - 1,
-                            task_time: ctx.task_time,
+                            task_time,
                             idle_time: ctx.idle_time,
                             loop_time,
                             ops: ctx.ops,
@@ -314,7 +323,7 @@ pub struct FlowCtx<'a, T> {
     store: &'a DataStore<T>,
     next_task: TaskId,
     ops: OpCounts,
-    task_time: Duration,
+    clock: TaskClock,
     idle_time: Duration,
     tasks_executed: u64,
     checksum: u64,
@@ -355,6 +364,88 @@ impl<'a, T> FlowCtx<'a, T> {
         }
     }
 
+    /// The rest of a get whose first poll failed: the wait itself, under
+    /// the watchdog's status entry and the idle clock, then its counters,
+    /// trace event and verdict. Panics when the run aborted or this wait
+    /// diagnosed a stall.
+    #[inline(never)]
+    fn wait_get(&mut self, id: TaskId, a: &Access, expected: u64) {
+        let s = &self.shared[a.data.index()];
+        let writes = a.mode.writes();
+        let wd = self.watchdog.is_some();
+        let cx = WaitCx {
+            strategy: self.wait,
+            spin_limit: self.spin_limit,
+            deadline: self.watchdog,
+            abort: self.abort,
+        };
+        let wait_start = (self.measure || self.tracer.is_some() || wd).then(Instant::now);
+        if wd {
+            self.status.begin_wait(self.me, a.data);
+        }
+        let wr = if writes {
+            get_write_word_cx(s, expected, &cx)
+        } else {
+            get_read_word_cx(s, expected, &cx)
+        };
+        if wd {
+            self.status.end_wait(self.me);
+        }
+        let wo = wr.outcome;
+        if wo.polls > 0 {
+            self.ops.waits += 1;
+            self.ops.poll_loops += wo.polls;
+            if let Some(c) = self.ctr {
+                c.add_spins(wo.polls);
+                c.add_parks(wo.parks);
+            }
+            if wo.parks > 0 {
+                self.flight_event(FlightEventKind::Park, id, Some(a.data));
+            }
+            if let Some(t0) = wait_start {
+                let t1 = Instant::now();
+                if self.measure {
+                    self.idle_time += t1.duration_since(t0);
+                }
+                if let Some(tr) = self.tracer.as_mut() {
+                    tr.wait(id, a.data, writes, t0, t1, wo.polls, wo.parks);
+                }
+            }
+        }
+        match wr.verdict {
+            WaitVerdict::Ready => {}
+            WaitVerdict::Aborted => {
+                panic!("RIO run poisoned: a sibling worker's task body panicked")
+            }
+            WaitVerdict::DeadlineExceeded => {
+                let waited = wait_start
+                    .map(|t0| t0.elapsed())
+                    .or(self.watchdog)
+                    .unwrap_or_default();
+                self.flight_event(FlightEventKind::Abort, id, Some(a.data));
+                let diag = stall_diagnostic(
+                    self.me,
+                    id,
+                    a,
+                    &self.locals[a.data.index()],
+                    s,
+                    waited,
+                    self.status,
+                    self.registry,
+                    self.flight,
+                );
+                if let Some(c) = self.ctr {
+                    c.inc_aborts();
+                }
+                self.abort.abort(AbortCause::Stall(diag), self.shared);
+                panic!(
+                    "RIO run stalled: {id} waited past the watchdog deadline on {}",
+                    a.data
+                );
+            }
+        }
+    }
+
     /// Submits the next task of the flow.
     ///
     /// `accesses` declares every data object the body touches; `body` runs
@@ -391,86 +482,18 @@ impl<'a, T> FlowCtx<'a, T> {
         }
 
         if executor == self.me {
-            let traced = self.tracer.is_some();
-            let wd = self.watchdog.is_some();
-            let cx = WaitCx {
-                strategy: self.wait,
-                spin_limit: self.spin_limit,
-                deadline: self.watchdog,
-                abort: self.abort,
-            };
             for a in accesses {
                 self.ops.gets += 1;
-                let s = &self.shared[a.data.index()];
                 let l = &self.locals[a.data.index()];
-                let wait_start = if self.measure || traced || wd {
-                    Some(Instant::now())
+                let (expected, mask) = if a.mode.writes() {
+                    (expected_write_word(l), WRITE_EPOCH_MASK)
                 } else {
-                    None
+                    (expected_read_word(l), READ_EPOCH_MASK)
                 };
-                if wd {
-                    self.status.begin_wait(self.me, a.data);
-                }
-                let wr = if a.mode.writes() {
-                    get_write_cx(s, l, &cx)
-                } else {
-                    get_read_cx(s, l, &cx)
-                };
-                if wd {
-                    self.status.end_wait(self.me);
-                }
-                let wo = wr.outcome;
-                if wo.polls > 0 {
-                    self.ops.waits += 1;
-                    self.ops.poll_loops += wo.polls;
-                    if let Some(c) = self.ctr {
-                        c.add_spins(wo.polls);
-                        c.add_parks(wo.parks);
-                    }
-                    if wo.parks > 0 {
-                        self.flight_event(FlightEventKind::Park, id, Some(a.data));
-                    }
-                    if let Some(t0) = wait_start {
-                        let t1 = Instant::now();
-                        if self.measure {
-                            self.idle_time += t1.duration_since(t0);
-                        }
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.wait(id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
-                        }
-                    }
-                }
-                match wr.verdict {
-                    WaitVerdict::Ready => {}
-                    WaitVerdict::Aborted => {
-                        panic!("RIO run poisoned: a sibling worker's task body panicked")
-                    }
-                    WaitVerdict::DeadlineExceeded => {
-                        let waited = wait_start
-                            .map(|t0| t0.elapsed())
-                            .or(self.watchdog)
-                            .unwrap_or_default();
-                        self.flight_event(FlightEventKind::Abort, id, Some(a.data));
-                        let diag = stall_diagnostic(
-                            self.me,
-                            id,
-                            a,
-                            l,
-                            s,
-                            waited,
-                            self.status,
-                            self.registry,
-                            self.flight,
-                        );
-                        if let Some(c) = self.ctr {
-                            c.inc_aborts();
-                        }
-                        self.abort.abort(AbortCause::Stall(diag), self.shared);
-                        panic!(
-                            "RIO run stalled: {id} waited past the watchdog deadline on {}",
-                            a.data
-                        );
-                    }
+                // Poll first: a ready get takes no clock and no status
+                // write.
+                if !self.shared[a.data.index()].satisfied(expected, mask) {
+                    self.wait_get(id, a, expected);
                 }
             }
 
@@ -492,12 +515,9 @@ impl<'a, T> FlowCtx<'a, T> {
                     store: self.store,
                 };
                 let run = std::panic::AssertUnwindSafe(|| body(&view));
-                let body_start = Instant::now();
+                let start = self.clock.start();
                 let outcome = std::panic::catch_unwind(run);
-                let body_end = Instant::now();
-                if self.measure {
-                    self.task_time += body_end.duration_since(body_start);
-                }
+                let span = self.clock.stop(start);
                 match outcome {
                     Err(payload) => match self.rec {
                         Some(rec) => {
@@ -531,15 +551,17 @@ impl<'a, T> FlowCtx<'a, T> {
                         }
                     },
                     Ok(()) => {
-                        if self.record_spans {
-                            self.spans.push(rio_stf::validate::Span {
-                                task: id,
-                                start: body_start.duration_since(self.epoch).as_nanos() as u64,
-                                end: body_end.duration_since(self.epoch).as_nanos() as u64,
-                            });
-                        }
-                        if let Some(tr) = self.tracer.as_mut() {
-                            tr.task(id, body_start, body_end);
+                        if let Some((t0, t1)) = span {
+                            if self.record_spans {
+                                self.spans.push(rio_stf::validate::Span {
+                                    task: id,
+                                    start: t0.duration_since(self.epoch).as_nanos() as u64,
+                                    end: t1.duration_since(self.epoch).as_nanos() as u64,
+                                });
+                            }
+                            if let Some(tr) = self.tracer.as_mut() {
+                                tr.task(id, t0, t1);
+                            }
                         }
                         true
                     }
@@ -552,7 +574,7 @@ impl<'a, T> FlowCtx<'a, T> {
                 }
                 self.flight_event(FlightEventKind::TaskEnd, id, None);
             }
-            if wd {
+            if self.watchdog.is_some() {
                 let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
                 self.status
                     .completed(self.me, id, self.tasks_executed, steals, retries);

@@ -22,6 +22,7 @@ use rio_stf::{
 
 use rio_stf::Access;
 
+use crate::clock::{LoopClock, LoopSpan, TaskClock};
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::flight::{FlightRecorder, FlightRing};
@@ -275,7 +276,7 @@ pub(crate) struct WorkerCtx<'a> {
     pub ops: OpCounts,
     pub tasks_executed: u64,
     pub tasks_visited: u64,
-    task_time: Duration,
+    clock: TaskClock,
     idle_time: Duration,
     spans: Vec<rio_stf::validate::Span>,
     tracer: Option<WorkerTracer>,
@@ -342,7 +343,7 @@ impl<'a> WorkerCtx<'a> {
             ops: OpCounts::default(),
             tasks_executed: 0,
             tasks_visited: 0,
-            task_time: Duration::ZERO,
+            clock: TaskClock::new(cfg.measure_time, cfg.record_spans || tracer.is_some()),
             idle_time: Duration::ZERO,
             spans: Vec::new(),
             traced: tracer.is_some(),
@@ -474,17 +475,6 @@ impl<'a> WorkerCtx<'a> {
         for (i, a) in accesses.iter().enumerate() {
             self.ops.gets += 1;
             let data = a.data.index();
-            let shared = self.shared;
-            let s = &shared[data];
-            let wait_start = if self.measure || self.traced || self.wd {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            if self.wd {
-                self.status.begin_wait(self.me, a.data);
-            }
-            let cx = self.wait_cx(data);
             let writes = a.mode.writes();
             let expected = {
                 let l = &self.locals[data];
@@ -509,118 +499,26 @@ impl<'a> WorkerCtx<'a> {
                     None => interp,
                 }
             };
-            let wr = if self.steal.is_some() {
-                self.wait_or_steal(kernel, expected, writes, data, &cx)
-            } else if writes {
-                get_write_word_cx(s, expected, &cx)
+            let mask = if writes {
+                WRITE_EPOCH_MASK
             } else {
-                get_read_word_cx(s, expected, &cx)
+                READ_EPOCH_MASK
             };
-            if self.wd {
-                self.status.end_wait(self.me);
-            }
-            let wo = wr.outcome;
-            if wo.polls > 0 {
-                self.ops.waits += 1;
-                self.ops.poll_loops += wo.polls;
-                if let Some(c) = self.ctr {
-                    c.add_spins(wo.polls);
-                    c.add_parks(wo.parks);
-                }
-                if wo.parks > 0 {
-                    self.flight_event(FlightEventKind::Park, t.id, Some(a.data));
-                }
-                if let Some(t0) = wait_start {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.idle_time += t1.duration_since(t0);
-                    }
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.wait(t.id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
-                    }
-                }
-            }
-            match wr.verdict {
-                WaitVerdict::Ready => {}
-                WaitVerdict::Aborted => return false,
-                WaitVerdict::DeadlineExceeded => {
-                    let waited = wait_start
-                        .map(|t0| t0.elapsed())
-                        .or(self.cfg.watchdog)
-                        .unwrap_or_default();
-                    // Record the abort *before* dumping, so the stalling
-                    // worker's own ring shows it as the final event.
-                    self.flight_event(FlightEventKind::Abort, t.id, Some(a.data));
-                    let l = &self.locals[data];
-                    let diag = stall_diagnostic(
-                        self.me,
-                        t.id,
-                        a,
-                        l,
-                        s,
-                        waited,
-                        self.status,
-                        self.registry,
-                        self.flight,
-                    );
-                    if let Some(c) = self.ctr {
-                        c.inc_aborts();
-                    }
-                    self.abort.abort(AbortCause::Stall(diag), self.shared);
-                    return false;
-                }
+            // Poll first: a get that is ready at its first poll takes no
+            // clock and no status write. Only a failed poll pays for the
+            // wait bookkeeping.
+            if !self.shared[data].satisfied(expected, mask)
+                && !self.wait_get(kernel, t, a, expected)
+            {
+                return false;
             }
         }
 
         self.flight_event(FlightEventKind::TaskStart, t.id, None);
         let ran = match self.rec {
             None => {
-                // Abort semantics (no recovery policy): the first panic
-                // records its cause and ends the whole run.
-                let body = std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    if let Some(hook) = self.cfg.fault_hook.as_ref() {
-                        hook.before_task(self.me, t.id);
-                    }
-                    kernel(self.me, t)
-                });
-                let body_start = if self.measure || self.record || self.traced {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let outcome = std::panic::catch_unwind(body);
-                let body_span = body_start.map(|t0| {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.task_time += t1.duration_since(t0);
-                    }
-                    if self.record {
-                        self.spans.push(rio_stf::validate::Span {
-                            task: t.id,
-                            start: t0.duration_since(self.epoch).as_nanos() as u64,
-                            end: t1.duration_since(self.epoch).as_nanos() as u64,
-                        });
-                    }
-                    (t0, t1)
-                });
-                if let Err(payload) = outcome {
-                    self.flight_event(FlightEventKind::Abort, t.id, None);
-                    if let Some(c) = self.ctr {
-                        c.inc_aborts();
-                    }
-                    self.abort.abort(
-                        AbortCause::Panic {
-                            task: t.id,
-                            worker: self.me,
-                            payload,
-                        },
-                        self.shared,
-                    );
+                if !self.run_body_or_abort(kernel, t) {
                     return false;
-                }
-                if let (Some((t0, t1)), Some(tr)) = (body_span, self.tracer.as_mut()) {
-                    tr.task(t.id, t0, t1);
                 }
                 true
             }
@@ -673,6 +571,86 @@ impl<'a> WorkerCtx<'a> {
         true
     }
 
+    /// The rest of a get whose first poll failed: the wait itself, under
+    /// the watchdog's status entry and the idle clock, then its counters,
+    /// trace event and verdict. Returns `false` when the run aborted (or
+    /// this wait diagnosed a stall) and the worker must stop.
+    #[inline(never)]
+    fn wait_get<K>(&mut self, kernel: &K, t: &TaskDesc, a: &Access, expected: u64) -> bool
+    where
+        K: Fn(WorkerId, &TaskDesc) + Sync,
+    {
+        let data = a.data.index();
+        let shared = self.shared;
+        let s = &shared[data];
+        let writes = a.mode.writes();
+        let wait_start = (self.measure || self.traced || self.wd).then(Instant::now);
+        if self.wd {
+            self.status.begin_wait(self.me, a.data);
+        }
+        let cx = self.wait_cx(data);
+        let wr = if self.steal.is_some() {
+            self.wait_or_steal(kernel, expected, writes, data, &cx)
+        } else if writes {
+            get_write_word_cx(s, expected, &cx)
+        } else {
+            get_read_word_cx(s, expected, &cx)
+        };
+        if self.wd {
+            self.status.end_wait(self.me);
+        }
+        let wo = wr.outcome;
+        if wo.polls > 0 {
+            self.ops.waits += 1;
+            self.ops.poll_loops += wo.polls;
+            if let Some(c) = self.ctr {
+                c.add_spins(wo.polls);
+                c.add_parks(wo.parks);
+            }
+            if wo.parks > 0 {
+                self.flight_event(FlightEventKind::Park, t.id, Some(a.data));
+            }
+            if let Some(t0) = wait_start {
+                let t1 = Instant::now();
+                if self.measure {
+                    self.idle_time += t1.duration_since(t0);
+                }
+                if let Some(tr) = self.tracer.as_mut() {
+                    tr.wait(t.id, a.data, writes, t0, t1, wo.polls, wo.parks);
+                }
+            }
+        }
+        match wr.verdict {
+            WaitVerdict::Ready => true,
+            WaitVerdict::Aborted => false,
+            WaitVerdict::DeadlineExceeded => {
+                let waited = wait_start
+                    .map(|t0| t0.elapsed())
+                    .or(self.cfg.watchdog)
+                    .unwrap_or_default();
+                // Record the abort *before* dumping, so the stalling
+                // worker's own ring shows it as the final event.
+                self.flight_event(FlightEventKind::Abort, t.id, Some(a.data));
+                let diag = stall_diagnostic(
+                    self.me,
+                    t.id,
+                    a,
+                    &self.locals[data],
+                    s,
+                    waited,
+                    self.status,
+                    self.registry,
+                    self.flight,
+                );
+                if let Some(c) = self.ctr {
+                    c.inc_aborts();
+                }
+                self.abort.abort(AbortCause::Stall(diag), self.shared);
+                false
+            }
+        }
+    }
+
     /// The degraded-mode body path: skip the kernel outright when an
     /// input datum is poisoned (the failure already happened upstream and
     /// this task's outputs would be garbage), otherwise run it under the
@@ -697,29 +675,74 @@ impl<'a> WorkerCtx<'a> {
             poison_writes(rec, t.id, accesses, self.ctr, self.ring);
             return false;
         }
-        let timed = self.measure || self.record || self.traced;
         match run_body_with_recovery(
-            self.cfg, rec, kernel, self.me, t, accesses, self.ctr, self.ring, timed,
+            self.cfg,
+            rec,
+            kernel,
+            self.me,
+            t,
+            accesses,
+            self.ctr,
+            self.ring,
+            &mut self.clock,
         ) {
             Some(span) => {
-                if let Some((t0, t1)) = span {
-                    if self.measure {
-                        self.task_time += t1.duration_since(t0);
-                    }
-                    if self.record {
-                        self.spans.push(rio_stf::validate::Span {
-                            task: t.id,
-                            start: t0.duration_since(self.epoch).as_nanos() as u64,
-                            end: t1.duration_since(self.epoch).as_nanos() as u64,
-                        });
-                    }
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.task(t.id, t0, t1);
-                    }
-                }
+                self.note_body(t.id, span);
                 true
             }
             None => false,
+        }
+    }
+
+    /// Runs one body with abort semantics (no recovery policy): the first
+    /// panic records its cause and ends the whole run. Returns `false` on
+    /// a panic.
+    fn run_body_or_abort<K>(&mut self, kernel: &K, t: &TaskDesc) -> bool
+    where
+        K: Fn(WorkerId, &TaskDesc) + Sync,
+    {
+        let body = std::panic::AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-inject")]
+            if let Some(hook) = self.cfg.fault_hook.as_ref() {
+                hook.before_task(self.me, t.id);
+            }
+            kernel(self.me, t)
+        });
+        let start = self.clock.start();
+        let outcome = std::panic::catch_unwind(body);
+        let span = self.clock.stop(start);
+        if let Err(payload) = outcome {
+            self.flight_event(FlightEventKind::Abort, t.id, None);
+            if let Some(c) = self.ctr {
+                c.inc_aborts();
+            }
+            self.abort.abort(
+                AbortCause::Panic {
+                    task: t.id,
+                    worker: self.me,
+                    payload,
+                },
+                self.shared,
+            );
+            return false;
+        }
+        self.note_body(t.id, span);
+        true
+    }
+
+    /// Hands a completed body's `Instant` span, when it took one, to the
+    /// span log and the trace.
+    fn note_body(&mut self, task: rio_stf::TaskId, span: Option<(Instant, Instant)>) {
+        let Some((t0, t1)) = span else { return };
+        if self.record {
+            self.spans.push(rio_stf::validate::Span {
+                task,
+                start: t0.duration_since(self.epoch).as_nanos() as u64,
+                end: t1.duration_since(self.epoch).as_nanos() as u64,
+            });
+        }
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.task(task, t0, t1);
         }
     }
 
@@ -752,7 +775,9 @@ impl<'a> WorkerCtx<'a> {
     /// until the guard opens, the steal budget runs dry, or scans keep
     /// coming up empty — only then does the wait fall back to the
     /// object's real strategy (under `Park`, this is the moment the
-    /// worker actually parks: "park only after a failed scan").
+    /// worker actually parks: "park only after a failed scan"). Entered
+    /// only after the get's first poll failed, so an armed run whose gets
+    /// are ready pays the same one acquire-load per get as an unarmed one.
     fn wait_or_steal<K>(
         &mut self,
         kernel: &K,
@@ -769,20 +794,6 @@ impl<'a> WorkerCtx<'a> {
             .expect("wait_or_steal requires an armed steal layer");
         let shared = self.shared;
         let s = &shared[data];
-        // Ready fast path before any slice/clock machinery: an armed-but-
-        // never-blocked run must pay the same one acquire-load per get as
-        // an unarmed one.
-        let mask = if writes {
-            WRITE_EPOCH_MASK
-        } else {
-            READ_EPOCH_MASK
-        };
-        if s.satisfied(expected, mask) {
-            return WaitResult {
-                outcome: WaitOutcome { polls: 0, parks: 0 },
-                verdict: WaitVerdict::Ready,
-            };
-        }
         let wait = |cx: &WaitCx<'_>| {
             if writes {
                 get_write_word_cx(s, expected, cx)
@@ -1061,53 +1072,11 @@ impl<'a> WorkerCtx<'a> {
         self.flight_event(FlightEventKind::TaskStart, t.id, None);
         let ran = match self.rec {
             None => {
-                let body = std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-inject")]
-                    if let Some(hook) = self.cfg.fault_hook.as_ref() {
-                        hook.before_task(self.me, t.id);
-                    }
-                    kernel(self.me, t)
-                });
-                let body_start = if self.measure || self.record || self.traced {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                let outcome = std::panic::catch_unwind(body);
-                let body_span = body_start.map(|t0| {
-                    let t1 = Instant::now();
-                    if self.measure {
-                        self.task_time += t1.duration_since(t0);
-                    }
-                    if self.record {
-                        self.spans.push(rio_stf::validate::Span {
-                            task: t.id,
-                            start: t0.duration_since(self.epoch).as_nanos() as u64,
-                            end: t1.duration_since(self.epoch).as_nanos() as u64,
-                        });
-                    }
-                    (t0, t1)
-                });
-                if let Err(payload) = outcome {
-                    self.flight_event(FlightEventKind::Abort, t.id, None);
-                    if let Some(c) = self.ctr {
-                        c.inc_aborts();
-                    }
-                    // The run is tearing down; the claim stays held so the
-                    // owner never re-runs the body, and the abort wakes
-                    // every waiter the missing terminates would have.
-                    self.abort.abort(
-                        AbortCause::Panic {
-                            task: t.id,
-                            worker: self.me,
-                            payload,
-                        },
-                        self.shared,
-                    );
+                // On a panic the run is tearing down; the claim stays held
+                // so the owner never re-runs the body, and the abort wakes
+                // every waiter the missing terminates would have.
+                if !self.run_body_or_abort(kernel, t) {
                     return;
-                }
-                if let (Some((t0, t1)), Some(tr)) = (body_span, self.tracer.as_mut()) {
-                    tr.task(t.id, t0, t1);
                 }
                 true
             }
@@ -1163,8 +1132,14 @@ impl<'a> WorkerCtx<'a> {
         apply_sync(&mut self.locals[data], delta);
     }
 
-    /// Consumes the context into the worker's report.
-    pub(crate) fn finish(self, loop_time: Duration) -> WorkerReport {
+    /// Consumes the context into the worker's report; `lp` is the
+    /// worker's whole loop.
+    pub(crate) fn finish(self, lp: LoopSpan) -> WorkerReport {
+        let loop_time = lp.time;
+        let (task_time, retry_time) = self.clock.finish(lp, self.idle_time);
+        if let Some(rec) = self.rec {
+            rec.add_retry_ns(retry_time.as_nanos() as u64);
+        }
         let ops = self.ops;
         let trace = self.tracer.map(|tr| {
             let mut wt = tr.finish();
@@ -1178,7 +1153,7 @@ impl<'a> WorkerCtx<'a> {
             worker: self.me,
             tasks_executed: self.tasks_executed,
             tasks_visited: self.tasks_visited,
-            task_time: self.task_time,
+            task_time,
             idle_time: self.idle_time,
             loop_time,
             ops,
@@ -1220,12 +1195,14 @@ pub(crate) fn poison_writes(
 /// until the policy's `max_retries` or per-task `deadline` is exhausted;
 /// a permanent failure is recorded in `rec` and the task's written data
 /// poisoned. Returns `None` on permanent failure (the caller still
-/// terminates every access — skip-but-sync), `Some(span)` on success,
-/// where the span of the winning attempt is only taken when `timed` asked
-/// for one — the fault-free fast path stays clock-free so an armed policy
-/// costs nothing measurable per task. With `timed` off, the first failed
-/// attempt's body is the one interval `retry_time` cannot include; every
-/// later attempt and every backoff sleep is timed regardless.
+/// terminates every access — skip-but-sync), `Some(span)` on success.
+/// The winning attempt's time is counted in `clock`; `span` is its
+/// `Instant` span when it took one, for the trace and the span log.
+/// Attempt 0 is timed exactly like an abort-path body, so an armed
+/// policy costs nothing measurable per task. Without `measure_time`, the
+/// first failed attempt's body is the one interval `retry_time` cannot
+/// include; every later attempt and every backoff sleep is timed
+/// regardless.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn run_body_with_recovery<K>(
@@ -1237,16 +1214,14 @@ pub(crate) fn run_body_with_recovery<K>(
     accesses: &[Access],
     ctr: Option<&WorkerCounters>,
     ring: Option<&FlightRing>,
-    timed: bool,
+    clock: &mut TaskClock,
 ) -> Option<Option<(Instant, Instant)>>
 where
     K: Fn(WorkerId, &TaskDesc) + Sync,
 {
     // Fast path: attempt 0, shaped exactly like the abort path — one
-    // `catch_unwind`, the same `timed`-gated clocks, no retry
-    // bookkeeping. An armed-but-unused policy must cost nothing
-    // measurable per task; the deadline clock is the one extra a policy
-    // that sets a deadline opts into.
+    // `catch_unwind`, the same clock, no retry bookkeeping. The deadline
+    // clock is the one extra a policy that sets a deadline opts into.
     let first_start = rec.policy.deadline.is_some().then(Instant::now);
     let body = std::panic::AssertUnwindSafe(|| {
         #[cfg(feature = "fault-inject")]
@@ -1255,30 +1230,40 @@ where
         }
         kernel(me, t)
     });
-    let t0 = (timed || first_start.is_some()).then(Instant::now);
+    let t0 = clock.start();
     match std::panic::catch_unwind(body) {
-        Ok(()) => Some(t0.map(|t0| (t0, Instant::now()))),
-        Err(payload) => retry_after_failure(
-            cfg,
-            rec,
-            kernel,
-            me,
-            t,
-            accesses,
-            ctr,
-            ring,
-            payload,
-            first_start,
-            t0,
-        ),
+        Ok(()) => Some(clock.stop(t0)),
+        Err(payload) => {
+            // Attempt 0's failed body is retry time: on the deadline clock
+            // when there is one, else on the body's own clock (a tick
+            // count is converted at the worker's finish).
+            let first_ns = match first_start {
+                Some(s) => s.elapsed().as_nanos() as u64,
+                None => clock.stop_failed(t0),
+            };
+            retry_after_failure(
+                cfg,
+                rec,
+                kernel,
+                me,
+                t,
+                accesses,
+                ctr,
+                ring,
+                clock,
+                payload,
+                first_start,
+                first_ns,
+            )
+        }
     }
 }
 
 /// The retry loop behind [`run_body_with_recovery`], entered only after
 /// attempt 0 has already panicked (so its cost is irrelevant to the
-/// fault-free path). Attempts `1..` are always timed: `retry_time`
-/// covers every retried body and backoff sleep, missing only attempt 0's
-/// body when the run wasn't measuring.
+/// fault-free path); `first_ns` is the failed attempt's body time.
+/// Attempts `1..` are always timed on `Instant`: `retry_time` covers
+/// every retried body and backoff sleep.
 #[cold]
 #[allow(clippy::too_many_arguments)]
 fn retry_after_failure<K>(
@@ -1290,9 +1275,10 @@ fn retry_after_failure<K>(
     accesses: &[Access],
     ctr: Option<&WorkerCounters>,
     ring: Option<&FlightRing>,
+    clock: &mut TaskClock,
     mut payload: Box<dyn std::any::Any + Send>,
     first_start: Option<Instant>,
-    first_t0: Option<Instant>,
+    first_ns: u64,
 ) -> Option<Option<(Instant, Instant)>>
 where
     K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -1304,7 +1290,7 @@ where
     // Time this task spent failing: failed attempt bodies plus backoff
     // sleeps. Successful retries report it too — recovery that
     // eventually worked still cost wall-clock the doctor should see.
-    let mut recover_ns = first_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+    let mut recover_ns = first_ns;
     loop {
         let spent = first_start.map_or(Duration::ZERO, |s| s.elapsed());
         let timed_out = policy.deadline.is_some_and(|d| spent >= d);
@@ -1355,6 +1341,7 @@ where
             Ok(()) => {
                 let t1 = Instant::now();
                 rec.add_retry_ns(recover_ns);
+                clock.add_span(t0, t1);
                 return Some(Some((t0, t1)));
             }
             Err(p) => {
@@ -1421,7 +1408,7 @@ where
         _ => None,
     });
 
-    let loop_start = Instant::now();
+    let loop_clock = LoopClock::start();
     // Returns `false` when the run aborted and the worker must stop.
     let step = |ctx: &mut WorkerCtx<'_>, t: &TaskDesc| -> bool {
         ctx.tasks_visited += 1;
@@ -1476,7 +1463,7 @@ where
         c.store(graph.len(), std::sync::atomic::Ordering::Relaxed);
     }
 
-    ctx.finish(loop_start.elapsed())
+    ctx.finish(loop_clock.stop())
 }
 
 #[cfg(test)]
@@ -1662,19 +1649,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn measure_time_accumulates_task_time() {
-        let mut b = TaskGraph::builder(0);
-        for _ in 0..4 {
-            b.task(&[], 1, "sleep");
+    /// Every path that runs task bodies, for the tables below.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Interpreted,
+        Pruned,
+        Compiled,
+        Hybrid,
+        Flow,
+        Redux,
+    }
+
+    const PATHS: [Path; 6] = [
+        Path::Interpreted,
+        Path::Pruned,
+        Path::Compiled,
+        Path::Hybrid,
+        Path::Flow,
+        Path::Redux,
+    ];
+
+    /// Runs `tasks` tasks on 2 round-robin workers (hybrid: all claimed at
+    /// run time) through `path`. Task `i` writes `D(data(i))` and runs
+    /// `body` on its worker.
+    fn run_on(
+        path: Path,
+        c: &RioConfig,
+        tasks: u32,
+        data: impl Fn(u32) -> u32 + Sync,
+        body: &(dyn Fn(WorkerId) + Sync),
+    ) -> ExecReport {
+        use crate::executor::Executor;
+        use crate::redux::{RAccess, ReduxRio};
+        let num_data = (0..tasks).map(&data).max().map_or(0, |d| d as usize + 1);
+        let mut b = TaskGraph::builder(num_data);
+        for i in 0..tasks {
+            b.task(&[Access::read_write(DataId(data(i)))], 1, "t");
         }
         let g = b.build();
-        let c = RioConfig::with_workers(1).measure_time(true);
-        let report = execute_graph(&c, &g, &RoundRobin, |_, _| {
-            std::thread::sleep(Duration::from_millis(2));
-        });
-        assert!(report.cumulative_task_time() >= Duration::from_millis(8));
-        assert!(report.workers[0].loop_time >= report.workers[0].task_time);
+        let kernel = |me: WorkerId, _: &TaskDesc| body(me);
+        let exec = Executor::new(c.clone()).mapping(&RoundRobin);
+        let store = DataStore::from_vec(vec![0u8; num_data]);
+        match path {
+            Path::Interpreted => exec.run(&g, kernel).report,
+            Path::Pruned => exec.pruning(true).run(&g, kernel).report,
+            Path::Compiled => exec.compile(&g).run(kernel).report,
+            Path::Hybrid => exec.hybrid(&crate::hybrid::Unmapped).run(&g, kernel).report,
+            Path::Flow => crate::flow::Rio::new(c.clone()).run(&store, &RoundRobin, |ctx| {
+                for i in 0..tasks {
+                    let me = ctx.worker();
+                    ctx.task(&[Access::read_write(DataId(data(i)))], move |_| body(me));
+                }
+            }),
+            Path::Redux => ReduxRio::new(c.clone()).run(&store, &RoundRobin, |ctx| {
+                for i in 0..tasks {
+                    let me = ctx.worker();
+                    ctx.task(&[RAccess::read_write(DataId(data(i)))], move |_| body(me));
+                }
+            }),
+        }
+    }
+
+    #[test]
+    fn measure_time_accumulates_task_time() {
+        // A serial chain of sleeping tasks over two workers: every body
+        // sleeps, and every get after the first waits on the other worker.
+        const SLEEP: Duration = Duration::from_millis(1);
+        for path in PATHS {
+            for measure in [true, false] {
+                let slept = [AtomicU64::new(0), AtomicU64::new(0)];
+                let body = |me: WorkerId| {
+                    let t0 = Instant::now();
+                    std::thread::sleep(SLEEP);
+                    slept[me.index()].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                };
+                let c = cfg(2).measure_time(measure);
+                let report = run_on(path, &c, 6, |_| 0, &body);
+                assert_eq!(report.tasks_executed(), 6, "{path:?}");
+                for w in &report.workers {
+                    let (task, idle) = (w.task_time, w.idle_time);
+                    if measure {
+                        let slept =
+                            Duration::from_nanos(slept[w.worker.index()].load(Ordering::Relaxed));
+                        assert!(
+                            task >= slept,
+                            "{path:?} {}: task {task:?} < slept {slept:?}",
+                            w.worker
+                        );
+                        assert!(task + idle <= w.loop_time, "{path:?} {}: {w:?}", w.worker);
+                    } else {
+                        assert_eq!((task, idle), (Duration::ZERO, Duration::ZERO), "{path:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ready_gets_never_wait_on_any_path() {
+        // Every task writes its own datum, so every get is ready at its
+        // first poll whatever the interleaving: no waits, no idle time.
+        for path in PATHS {
+            let report = run_on(path, &cfg(2), 64, |i| i, &|_| {});
+            assert_eq!(report.tasks_executed(), 64, "{path:?}");
+            for w in &report.workers {
+                assert_eq!(w.ops.waits, 0, "{path:?} {}", w.worker);
+                assert_eq!(w.idle_time, Duration::ZERO, "{path:?} {}", w.worker);
+            }
+        }
     }
 
     #[test]

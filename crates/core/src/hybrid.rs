@@ -41,11 +41,13 @@ use rio_stf::{
     WorkerId,
 };
 
+use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
 use crate::graph::{poison_writes, run_body_with_recovery, stall_diagnostic};
 use crate::protocol::{
-    declare_read, declare_write, get_read_cx, get_write_cx, terminate_read, terminate_write,
-    AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, WaitCx, WaitVerdict,
+    declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
+    get_write_word_cx, terminate_read, terminate_write, AbortCause, AbortFlag, LocalDataState,
+    RecoveryCtx, SharedDataState, WaitCx, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::StatusTable;
@@ -302,7 +304,6 @@ where
     };
     let mut locals = vec![LocalDataState::default(); graph.num_data()];
     let mut ops = OpCounts::default();
-    let mut task_time = Duration::ZERO;
     let mut idle_time = Duration::ZERO;
     let mut tasks_executed = 0u64;
     let mut tasks_visited = 0u64;
@@ -324,8 +325,9 @@ where
         .as_ref()
         .map(|tc| WorkerTracer::new(tc, me.index() as u32, epoch));
     let traced = tracer.is_some();
+    let mut clock = TaskClock::new(measure, record || traced);
 
-    let loop_start = Instant::now();
+    let loop_clock = LoopClock::start();
     'flow: for t in graph.tasks() {
         tasks_visited += 1;
         let mine = match pmap.worker_of(t.id, cfg.workers) {
@@ -365,18 +367,25 @@ where
                 ops.gets += 1;
                 let s = &shared[a.data.index()];
                 let l = &locals[a.data.index()];
-                let wait_start = if measure || traced || wd {
-                    Some(Instant::now())
+                let writes = a.mode.writes();
+                let (expected, mask) = if writes {
+                    (expected_write_word(l), WRITE_EPOCH_MASK)
                 } else {
-                    None
+                    (expected_read_word(l), READ_EPOCH_MASK)
                 };
+                // Poll first: a ready get takes no clock and no status
+                // write.
+                if s.satisfied(expected, mask) {
+                    continue;
+                }
+                let wait_start = (measure || traced || wd).then(Instant::now);
                 if wd {
                     status.begin_wait(me, a.data);
                 }
-                let wr = if a.mode.writes() {
-                    get_write_cx(s, l, &cx)
+                let wr = if writes {
+                    get_write_word_cx(s, expected, &cx)
                 } else {
-                    get_read_cx(s, l, &cx)
+                    get_read_word_cx(s, expected, &cx)
                 };
                 if wd {
                     status.end_wait(me);
@@ -398,7 +407,7 @@ where
                             idle_time += t1.duration_since(t0);
                         }
                         if let Some(tr) = tracer.as_mut() {
-                            tr.wait(t.id, a.data, a.mode.writes(), t0, t1, wo.polls, wo.parks);
+                            tr.wait(t.id, a.data, writes, t0, t1, wo.polls, wo.parks);
                         }
                     }
                 }
@@ -434,19 +443,9 @@ where
                         }
                         kernel(me, t)
                     });
-                    let body_start = if measure || record || traced {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
+                    let start = clock.start();
                     let outcome = std::panic::catch_unwind(body);
-                    let body_span = body_start.map(|t0| {
-                        let t1 = Instant::now();
-                        if measure {
-                            task_time += t1.duration_since(t0);
-                        }
-                        (t0, t1)
-                    });
+                    let body_span = clock.stop(start);
                     if let Err(payload) = outcome {
                         flight_event(FlightEventKind::Abort, t.id, None);
                         if let Some(c) = ctr {
@@ -486,7 +485,6 @@ where
                     false
                 }
                 Some(rec) => {
-                    let timed = measure || record || traced;
                     match run_body_with_recovery(
                         cfg,
                         rec,
@@ -496,13 +494,10 @@ where
                         &t.accesses,
                         ctr,
                         ring,
-                        timed,
+                        &mut clock,
                     ) {
                         Some(span) => {
                             if let Some((t0, t1)) = span {
-                                if measure {
-                                    task_time += t1.duration_since(t0);
-                                }
                                 if record {
                                     spans.push(rio_stf::validate::Span {
                                         task: t.id,
@@ -569,7 +564,12 @@ where
         }
     }
 
-    let loop_time = loop_start.elapsed();
+    let lp = loop_clock.stop();
+    let loop_time = lp.time;
+    let (task_time, retry_time) = clock.finish(lp, idle_time);
+    if let Some(rec) = rec {
+        rec.add_retry_ns(retry_time.as_nanos() as u64);
+    }
     let trace = tracer.map(|tr| {
         let mut wt = tr.finish();
         wt.declares = ops.declares;

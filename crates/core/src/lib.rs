@@ -72,6 +72,7 @@
 //! assert_eq!(store.into_vec(), vec![50, 50]);
 //! ```
 
+mod clock;
 pub mod compile;
 pub mod config;
 pub mod counters;

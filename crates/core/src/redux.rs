@@ -54,6 +54,7 @@ use parking_lot::Mutex;
 use rio_stf::store::{ReadGuard, WriteGuard};
 use rio_stf::{DataId, DataStore, Mapping, TaskId, WorkerId};
 
+use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
 use crate::park;
 use crate::report::{ExecReport, OpCounts, WorkerReport};
@@ -265,20 +266,23 @@ impl ReduxRio {
                             store,
                             next_task: TaskId::FIRST,
                             ops: OpCounts::default(),
-                            task_time: Duration::ZERO,
+                            // No trace or span log: bodies take ticks.
+                            clock: TaskClock::new(cfg.measure_time, false),
                             idle_time: Duration::ZERO,
                             tasks_executed: 0,
                             ctr: registry.map(|r| r.worker(w)),
                         };
-                        let loop_start = Instant::now();
+                        let loop_clock = LoopClock::start();
                         flow(&mut ctx);
+                        let lp = loop_clock.stop();
+                        let (task_time, _) = ctx.clock.finish(lp, ctx.idle_time);
                         WorkerReport {
                             worker: me,
                             tasks_executed: ctx.tasks_executed,
                             tasks_visited: ctx.next_task.0 - 1,
-                            task_time: ctx.task_time,
+                            task_time,
                             idle_time: ctx.idle_time,
-                            loop_time: loop_start.elapsed(),
+                            loop_time: lp.time,
                             ops: ctx.ops,
                             spans: Vec::new(),
                             trace: None,
@@ -313,7 +317,7 @@ pub struct ReduxCtx<'a, T> {
     store: &'a DataStore<T>,
     next_task: TaskId,
     ops: OpCounts,
-    task_time: Duration,
+    clock: TaskClock,
     idle_time: Duration,
     tasks_executed: u64,
     /// Always-on counter line (`None` when disabled). Redux's `wait_until`
@@ -348,26 +352,23 @@ impl<'a, T> ReduxCtx<'a, T> {
                 let expected_write = l.last_registered_write;
                 let expected_reads = l.nb_reads_since_write;
                 let expected_accs = l.nb_accs_since_write;
-                let wait_start = if self.measure {
-                    Some(Instant::now())
-                } else {
-                    None
+                let ready = |o| {
+                    s.last_executed_write.load(o) == expected_write
+                        && match a.mode {
+                            RMode::Read => s.nb_accs_since_write.load(o) == expected_accs,
+                            RMode::Accumulate => s.nb_reads_since_write.load(o) == expected_reads,
+                            RMode::Write | RMode::ReadWrite => {
+                                s.nb_reads_since_write.load(o) == expected_reads
+                                    && s.nb_accs_since_write.load(o) == expected_accs
+                            }
+                        }
                 };
-                let polls = match a.mode {
-                    RMode::Read => s.wait_until(self.wait, |o| {
-                        s.last_executed_write.load(o) == expected_write
-                            && s.nb_accs_since_write.load(o) == expected_accs
-                    }),
-                    RMode::Accumulate => s.wait_until(self.wait, |o| {
-                        s.last_executed_write.load(o) == expected_write
-                            && s.nb_reads_since_write.load(o) == expected_reads
-                    }),
-                    RMode::Write | RMode::ReadWrite => s.wait_until(self.wait, |o| {
-                        s.last_executed_write.load(o) == expected_write
-                            && s.nb_reads_since_write.load(o) == expected_reads
-                            && s.nb_accs_since_write.load(o) == expected_accs
-                    }),
-                };
+                // Poll first: a ready get takes no clock.
+                if ready(Ordering::Acquire) {
+                    continue;
+                }
+                let wait_start = self.measure.then(Instant::now);
+                let polls = s.wait_until(self.wait, ready);
                 if polls > 0 {
                     self.ops.waits += 1;
                     self.ops.poll_loops += polls;
@@ -398,13 +399,9 @@ impl<'a, T> ReduxCtx<'a, T> {
                 accesses,
                 store: self.store,
             };
-            if self.measure {
-                let t0 = Instant::now();
-                body(&view);
-                self.task_time += t0.elapsed();
-            } else {
-                body(&view);
-            }
+            let start = self.clock.start();
+            body(&view);
+            self.clock.stop(start);
             self.tasks_executed += 1;
             if let Some(c) = self.ctr {
                 c.inc_tasks();

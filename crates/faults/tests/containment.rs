@@ -75,71 +75,76 @@ fn a_seeded_panic_is_contained_on_every_seed() {
     }
 }
 
-/// ISSUE acceptance: a mapping that drops a task — every worker believes
-/// somebody else owns it — yields a structured error naming the blocked
-/// data object, never a hang.
+thread_local! {
+    /// The worker running on this thread, as the last kernel it ran set
+    /// it; `u32::MAX` until then.
+    static SELF: std::cell::Cell<u32> = const { std::cell::Cell::new(u32::MAX) };
+}
+
+/// Workers of the dropped-task runs.
+const DROP_WORKERS: usize = 4;
+
+/// The dropped-task flow: one "tag" write per worker (so each worker's
+/// kernel runs and sets [`SELF`] before the victim is mapped), then the
+/// victim writing `D4`, then a reader of `D4` on worker 0.
+fn dropped_task_graph() -> TaskGraph {
+    let mut b = TaskGraph::builder(DROP_WORKERS + 1);
+    for i in 0..DROP_WORKERS {
+        b.task(&[Access::write(DataId::from_index(i))], 1, "tag");
+    }
+    b.task(
+        &[Access::write(DataId::from_index(DROP_WORKERS))],
+        1,
+        "victim",
+    );
+    b.task(
+        &[Access::read(DataId::from_index(DROP_WORKERS))],
+        1,
+        "reader",
+    );
+    b.build()
+}
+
+/// A mapping that drops the victim — every worker believes somebody
+/// else owns it.
 ///
-/// The mapping must defeat pre-flight validation to reach run time, so it
-/// lies *consistently on the probing thread* and only diverges on the
-/// workers: it answers through a thread-local that the kernel sets to the
+/// It must defeat pre-flight validation to reach run time, so it lies
+/// *consistently on the probing thread* and only diverges on the
+/// workers: it answers through [`SELF`], which the kernel sets to the
 /// executing worker's id. The main-thread probes see the unset sentinel
 /// twice (deterministic ⇒ pre-flight passes); at run time worker `i`
 /// computes owner `(i + 1) % workers` for the victim, so nobody executes
 /// it and the victim's datum is never written.
-#[test]
-fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
-    use std::cell::Cell;
-    thread_local! {
-        static SELF: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
+struct Lying;
 
-    const WORKERS: usize = 4;
-    // Flow: one "tag" write per worker (so each worker's kernel runs and
-    // sets SELF before the victim is mapped), then the dropped victim
-    // writing D4, then a reader of D4 on worker 0.
-    let victim = TaskId::from_index(WORKERS);
-    let reader = TaskId::from_index(WORKERS + 1);
-    let victim_data = DataId::from_index(WORKERS);
-    let mut b = TaskGraph::builder(WORKERS + 1);
-    for i in 0..WORKERS {
-        b.task(&[Access::write(DataId::from_index(i))], 1, "tag");
-    }
-    b.task(&[Access::write(victim_data)], 1, "victim");
-    b.task(&[Access::read(victim_data)], 1, "reader");
-    let g = b.build();
-
-    struct Lying;
-    impl Mapping for Lying {
-        fn worker_of(&self, task: TaskId, workers: usize) -> WorkerId {
-            match task.index() {
-                // One tag task per worker, then the victim, then the reader.
-                i if i < workers => WorkerId::from_index(i),
-                i if i == workers => {
-                    // The dropped task: "my neighbour owns it".
-                    let me = SELF.with(Cell::get);
-                    WorkerId::from_index(me.wrapping_add(1) as usize % workers)
-                }
-                _ => WorkerId(0),
+impl Mapping for Lying {
+    fn worker_of(&self, task: TaskId, workers: usize) -> WorkerId {
+        match task.index() {
+            // One tag task per worker, then the victim, then the reader.
+            i if i < workers => WorkerId::from_index(i),
+            i if i == workers => {
+                // The dropped task: "my neighbour owns it".
+                let me = SELF.with(std::cell::Cell::get);
+                WorkerId::from_index(me.wrapping_add(1) as usize % workers)
             }
+            _ => WorkerId(0),
         }
     }
+}
 
-    let err = Executor::new(
-        RioConfig::with_workers(WORKERS)
-            .wait(WaitStrategy::Park)
-            .spin_limit(16),
-    )
-    .mapping(&Lying)
-    .watchdog(Duration::from_millis(100))
-    .try_run(&g, |me, _| SELF.set(me.0))
-    .unwrap_err();
-
+/// The stall `err` must report for the dropped-task flow: worker 0,
+/// blocked in the reader's `get_read` on the victim's datum, which it
+/// registered as written by the victim but nobody ever wrote.
+fn assert_names_the_victim(err: ExecError, deadline: Duration) {
+    let victim = TaskId::from_index(DROP_WORKERS);
+    let reader = TaskId::from_index(DROP_WORKERS + 1);
+    let victim_data = DataId::from_index(DROP_WORKERS);
     let diag = match err {
         ExecError::Stalled(diag) => diag,
         other => panic!("expected Stalled, got {other}"),
     };
     assert_eq!(diag.worker, WorkerId(0), "the reader's owner was blocked");
-    assert!(diag.waited >= Duration::from_millis(100));
+    assert!(diag.waited >= deadline);
     match diag.site {
         StallSite::DataWait {
             task,
@@ -159,6 +164,84 @@ fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
         }
         other => panic!("expected DataWait, got {other}"),
     }
+}
+
+/// ISSUE acceptance: a mapping that drops a task yields a structured
+/// error naming the blocked data object, never a hang.
+#[test]
+fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
+    let g = dropped_task_graph();
+    let deadline = Duration::from_millis(100);
+    let err = Executor::new(
+        RioConfig::with_workers(DROP_WORKERS)
+            .wait(WaitStrategy::Park)
+            .spin_limit(16),
+    )
+    .mapping(&Lying)
+    .watchdog(deadline)
+    .try_run(&g, |me, _| SELF.set(me.0))
+    .unwrap_err();
+    assert_names_the_victim(err, deadline);
+}
+
+/// The same dropped task on the flow API, whose workers evaluate the
+/// mapping as they replay the flow.
+#[test]
+fn a_dropped_task_is_diagnosed_on_the_flow_api() {
+    let store = DataStore::from_vec(vec![0u8; DROP_WORKERS + 1]);
+    let deadline = Duration::from_millis(100);
+    let rio = Rio::new(
+        RioConfig::with_workers(DROP_WORKERS)
+            .wait(WaitStrategy::Park)
+            .spin_limit(16)
+            .watchdog(deadline),
+    );
+    let err = rio
+        .try_run(&store, &Lying, |ctx| {
+            for t in dropped_task_graph().tasks() {
+                let me = ctx.worker();
+                ctx.task(&t.accesses, move |_| SELF.set(me.0));
+            }
+        })
+        .unwrap_err();
+    assert_names_the_victim(err, deadline);
+}
+
+/// The same stall on a compiled flow. Compilation evaluates the mapping
+/// once per task, so no mapping can drop a task there; instead the
+/// victim's owner is held in an earlier body past the deadline. To the
+/// reader's owner the two are the same stall: the victim's write is
+/// registered and never performed.
+#[test]
+fn a_missing_write_is_diagnosed_on_a_compiled_flow() {
+    let victim = TaskId::from_index(DROP_WORKERS);
+    let g = dropped_task_graph();
+    // Tags round-robin, the victim on worker 1 (which owns the tag just
+    // before it is held up), the reader on worker 0.
+    let owners: Vec<WorkerId> = (0..=DROP_WORKERS + 1)
+        .map(|i| match i {
+            i if i < DROP_WORKERS => WorkerId::from_index(i),
+            i if i == DROP_WORKERS => WorkerId(1),
+            _ => WorkerId(0),
+        })
+        .collect();
+    let mapping = rio_stf::TableMapping::new(owners);
+    let deadline = Duration::from_millis(100);
+    let err = Executor::new(
+        RioConfig::with_workers(DROP_WORKERS)
+            .wait(WaitStrategy::Park)
+            .spin_limit(16),
+    )
+    .mapping(&mapping)
+    .watchdog(deadline)
+    .compile(&g)
+    .try_run(|me, t| {
+        if me == WorkerId(1) && t.id < victim {
+            std::thread::sleep(4 * deadline);
+        }
+    })
+    .unwrap_err();
+    assert_names_the_victim(err, deadline);
 }
 
 /// Post-abort store containment, exactly: a panic at `Tk` in an RW chain

@@ -117,12 +117,12 @@ pub struct RioConfig {
     pub workers: usize,
     /// How `get_read`/`get_write` wait for dependencies.
     pub wait: WaitStrategy,
-    /// Pure-spin polls inside `get_read`/`get_write` before escalating to
+    /// Pure-spin time inside `get_read`/`get_write` before escalating to
     /// the configured [`RioConfig::wait`] strategy (yield or park).
-    /// Default: [`WaitStrategy::DEFAULT_SPIN_LIMIT`].
-    pub spin_limit: u32,
+    /// Default: [`WaitStrategy::DEFAULT_SPIN`].
+    pub spin: Duration,
     /// Per-object wait policies, indexed by [`rio_stf::DataId`]: entry
-    /// `d` overrides [`RioConfig::wait`]/[`RioConfig::spin_limit`] for
+    /// `d` overrides [`RioConfig::wait`]/[`RioConfig::spin`] for
     /// every wait *and* terminate on data object `d`. Objects past the
     /// end of the table (and all objects when `None`, the default) use
     /// the run-wide pair. Shared by every worker of the run, which is
@@ -132,7 +132,7 @@ pub struct RioConfig {
     /// ([`crate::tune`]) rather than written by hand.
     pub wait_policies: Option<Arc<[WaitPolicy]>>,
     /// Stall watchdog: when `Some(d)`, a worker blocked in a `get_*` for
-    /// longer than `d` (past its spin phase) aborts the run with
+    /// longer than `d` (spin phase included) aborts the run with
     /// [`rio_stf::ExecError::Stalled`], carrying a diagnostic dump of the
     /// blocked data object's counters and every worker's progress. `None`
     /// (the default): waits are unbounded, as the protocol assumes a
@@ -249,9 +249,9 @@ impl RioConfig {
         self
     }
 
-    /// Sets the pure-spin poll budget (builder style).
-    pub fn spin_limit(mut self, polls: u32) -> RioConfig {
-        self.spin_limit = polls;
+    /// Sets the pure-spin time budget (builder style).
+    pub fn spin(mut self, spin: Duration) -> RioConfig {
+        self.spin = spin;
         self
     }
 
@@ -404,7 +404,7 @@ impl Default for RioConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             wait: WaitStrategy::default(),
-            spin_limit: WaitStrategy::DEFAULT_SPIN_LIMIT,
+            spin: WaitStrategy::DEFAULT_SPIN,
             wait_policies: None,
             watchdog: None,
             preflight: true,
@@ -461,16 +461,16 @@ mod tests {
         assert!(c.trace.is_none(), "tracing is opt-in");
         assert!(c.watchdog.is_none(), "watchdog is opt-in");
         assert!(c.preflight, "pre-flight validation is on by default");
-        assert_eq!(c.spin_limit, WaitStrategy::DEFAULT_SPIN_LIMIT);
+        assert_eq!(c.spin, WaitStrategy::DEFAULT_SPIN);
     }
 
     #[test]
     fn robustness_knobs_build() {
         let c = RioConfig::with_workers(2)
-            .spin_limit(8)
+            .spin(Duration::from_micros(2))
             .watchdog(Duration::from_millis(100))
             .preflight(false);
-        assert_eq!(c.spin_limit, 8);
+        assert_eq!(c.spin, Duration::from_micros(2));
         assert_eq!(c.watchdog, Some(Duration::from_millis(100)));
         assert!(!c.preflight);
         c.validate();
@@ -488,10 +488,13 @@ mod tests {
     fn wait_policy_table_builds() {
         let c = RioConfig::with_workers(1);
         assert!(c.wait_policies.is_none(), "per-object policies are opt-in");
-        let c = c.wait_policies(vec![WaitPolicy::hot(256), WaitPolicy::cold()]);
+        let c = c.wait_policies(vec![
+            WaitPolicy::hot(Duration::from_micros(40)),
+            WaitPolicy::cold(),
+        ]);
         let table = c.wait_policies.as_deref().expect("table installed");
         assert_eq!(table.len(), 2);
-        assert_eq!(table[0], WaitPolicy::hot(256));
+        assert_eq!(table[0], WaitPolicy::hot(Duration::from_micros(40)));
         c.validate();
     }
 

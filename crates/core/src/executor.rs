@@ -615,7 +615,7 @@ mod tests {
         let err = Executor::new(
             RioConfig::with_workers(2)
                 .wait(WaitStrategy::Park)
-                .spin_limit(4),
+                .spin(Duration::from_micros(1)),
         )
         .watchdog(Duration::from_millis(50))
         .try_run(&g, |_, t| {

@@ -53,11 +53,12 @@ use crate::graph::stall_diagnostic;
 use crate::protocol::{
     declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
     get_write_word_cx, terminate_read, terminate_write, AbortCause, AbortFlag, LocalDataState,
-    RecoveryCtx, SharedDataState, WaitCx, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
+    RecoveryCtx, SharedDataState, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::StatusTable;
 use crate::trace_api::WorkerTracer;
+use crate::wait::WaitPlan;
 
 /// The RIO runtime handle for the typed flow API.
 #[derive(Debug, Clone)]
@@ -180,8 +181,7 @@ impl Rio {
                         let mut ctx = FlowCtx {
                             me,
                             num_workers: cfg.workers,
-                            wait: cfg.wait,
-                            spin_limit: cfg.spin_limit,
+                            plan: WaitPlan::of(cfg),
                             watchdog: cfg.watchdog,
                             measure: cfg.measure_time,
                             record_spans: cfg.record_spans,
@@ -312,8 +312,8 @@ fn fnv_fold(hash: u64, value: u64) -> u64 {
 pub struct FlowCtx<'a, T> {
     me: WorkerId,
     num_workers: usize,
-    wait: crate::wait::WaitStrategy,
-    spin_limit: u32,
+    /// Every object's wait policy, for waits and terminates alike.
+    plan: WaitPlan<'a>,
     watchdog: Option<Duration>,
     measure: bool,
     record_spans: bool,
@@ -373,12 +373,7 @@ impl<'a, T> FlowCtx<'a, T> {
         let s = &self.shared[a.data.index()];
         let writes = a.mode.writes();
         let wd = self.watchdog.is_some();
-        let cx = WaitCx {
-            strategy: self.wait,
-            spin_limit: self.spin_limit,
-            deadline: self.watchdog,
-            abort: self.abort,
-        };
+        let cx = self.plan.cx(a.data.index(), self.watchdog, self.abort);
         let wait_start = (self.measure || self.tracer.is_some() || wd).then(Instant::now);
         if wd {
             self.status.begin_wait(self.me, a.data);
@@ -585,10 +580,11 @@ impl<'a, T> FlowCtx<'a, T> {
                 self.ops.terminates += 1;
                 let s = &self.shared[a.data.index()];
                 let l = &mut self.locals[a.data.index()];
+                let strategy = self.plan.strategy(a.data.index());
                 let elided = if a.mode.writes() {
-                    terminate_write(s, l, id, self.wait)
+                    terminate_write(s, l, id, strategy)
                 } else {
-                    terminate_read(s, l, self.wait)
+                    terminate_read(s, l, strategy)
                 };
                 if elided {
                     if let Some(c) = self.ctr {
@@ -679,6 +675,40 @@ mod tests {
                 .wait(WaitStrategy::Park)
                 .check_determinism(true),
         )
+    }
+
+    #[test]
+    fn per_datum_wait_policies_are_honoured() {
+        // Run-wide: park at once. D0's policy: spin, never park. W1 waits
+        // 20 ms for each of W0's writes (D1 first, then D0).
+        use crate::wait::WaitPolicy;
+        let cfg = RioConfig::with_workers(2)
+            .wait(WaitStrategy::Park)
+            .spin(Duration::ZERO)
+            .wait_policies(vec![WaitPolicy::new(WaitStrategy::Spin, Duration::ZERO)])
+            .trace(crate::trace_api::TraceConfig::new());
+        let store = DataStore::from_vec(vec![0u64; 2]);
+        let mut report = Rio::new(cfg).run(&store, &RoundRobin, |ctx| {
+            for d in [DataId(1), DataId(0)] {
+                ctx.task(&[Access::write(d)], move |v| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    *v.write(d) = 1;
+                });
+                ctx.task(&[Access::read(d)], move |v| assert_eq!(*v.read(d), 1));
+            }
+        });
+        let trace = report.take_trace().expect("traced run");
+        let mut parks = [None::<u64>; 2];
+        for e in trace.workers.iter().flat_map(|w| &w.events) {
+            if e.kind.is_wait() {
+                *parks[e.id as usize].get_or_insert(0) += u64::from(e.parks);
+            }
+        }
+        assert!(
+            parks[1] >= Some(1),
+            "D1 follows the run-wide Park: {parks:?}"
+        );
+        assert_eq!(parks[0], Some(0), "D0 follows its Spin policy: {parks:?}");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::StatusTable;
 use crate::steal::{ClaimTable, ScanSource, StealState, EMPTY_SCAN_LIMIT};
 use crate::trace_api::WorkerTracer;
-use crate::wait::WaitStrategy;
+use crate::wait::{WaitPlan, WaitStrategy};
 
 /// Builds the stall diagnostic for a `get_*` whose watchdog deadline
 /// expired: the blocked worker, the private-vs-shared counters of the
@@ -267,11 +267,10 @@ pub(crate) struct WorkerCtx<'a> {
     abort: &'a AbortFlag,
     status: &'a StatusTable,
     epoch: Instant,
-    cx: WaitCx<'a>,
-    /// Per-object wait-policy table ([`RioConfig::wait_policies`]):
-    /// `policies[d]` overrides `cx`'s strategy/spin budget for waits and
-    /// terminates on data object `d`. Shared by every worker of the run.
-    policies: Option<&'a [crate::wait::WaitPolicy]>,
+    /// Every object's wait policy ([`RioConfig::wait_policies`] over the
+    /// run-wide pair), for waits and terminates alike. Shared by every
+    /// worker of the run.
+    plan: WaitPlan<'a>,
     pub locals: Vec<LocalDataState>,
     pub ops: OpCounts,
     pub tasks_executed: u64,
@@ -332,13 +331,7 @@ impl<'a> WorkerCtx<'a> {
             abort,
             status,
             epoch,
-            cx: WaitCx {
-                strategy: cfg.wait,
-                spin_limit: cfg.spin_limit,
-                deadline: cfg.watchdog,
-                abort,
-            },
-            policies: cfg.wait_policies.as_deref(),
+            plan: WaitPlan::of(cfg),
             locals: vec![LocalDataState::default(); num_data],
             ops: OpCounts::default(),
             tasks_executed: 0,
@@ -358,30 +351,6 @@ impl<'a> WorkerCtx<'a> {
             record: cfg.record_spans,
             wd: cfg.watchdog.is_some(),
         }
-    }
-
-    /// The wait context governing data object `data`: the per-object
-    /// policy when the table names one, the run-wide `cx` otherwise.
-    #[inline]
-    fn wait_cx(&self, data: usize) -> WaitCx<'a> {
-        match self.policies.and_then(|p| p.get(data)) {
-            Some(p) => WaitCx {
-                strategy: p.strategy,
-                spin_limit: p.spin_limit,
-                ..self.cx
-            },
-            None => self.cx,
-        }
-    }
-
-    /// The wait strategy `terminate_*` on `data` must assume its waiters
-    /// use. Must agree with [`WorkerCtx::wait_cx`]: a terminate that
-    /// believes waiters never park skips the waiter check and the wake.
-    #[inline]
-    fn strategy_of(&self, data: usize) -> crate::wait::WaitStrategy {
-        self.policies
-            .and_then(|p| p.get(data))
-            .map_or(self.cfg.wait, |p| p.strategy)
     }
 
     /// Appends one event to this worker's flight ring (no-op with the
@@ -547,7 +516,7 @@ impl<'a> WorkerCtx<'a> {
         // each terminate carries them).
         for a in accesses {
             self.ops.terminates += 1;
-            let strategy = self.strategy_of(a.data.index());
+            let strategy = self.plan.strategy(a.data.index());
             let s = &self.shared[a.data.index()];
             let l = &mut self.locals[a.data.index()];
             let elided = if a.mode.writes() {
@@ -588,7 +557,7 @@ impl<'a> WorkerCtx<'a> {
         if self.wd {
             self.status.begin_wait(self.me, a.data);
         }
-        let cx = self.wait_cx(data);
+        let cx = self.plan.cx(data, self.cfg.watchdog, self.abort);
         let wr = if self.steal.is_some() {
             self.wait_or_steal(kernel, expected, writes, data, &cx)
         } else if writes {
@@ -809,16 +778,21 @@ impl<'a> WorkerCtx<'a> {
             },
             verdict: wr.verdict,
         };
-        // The real watchdog clock for this whole wait; each slice gets its
-        // own short deadline, so `DeadlineExceeded` from a slice means
-        // "time to scan", not "stalled".
-        let wd_start = cx.deadline.map(|_| Instant::now());
+        // One clock for the whole wait: the watchdog deadline and the
+        // spin budget both run from here, across slices and scans, so the
+        // wait spins for `cx.spin` in all and its slices after that only
+        // yield. Each slice gets its own short deadline, so
+        // `DeadlineExceeded` from a slice means "time to scan", not
+        // "stalled"; a slice's deadline caps its spin phase too, so a
+        // slice lasts `min_wait_before_steal`, no longer.
+        let start = Instant::now();
+        let left = |budget: Duration| budget.saturating_sub(start.elapsed());
         let mut steals = 0usize;
         let mut empty = 0usize;
         while steals < st.policy.max_steals && empty < EMPTY_SCAN_LIMIT {
             let slice = WaitCx {
                 strategy: WaitStrategy::SpinYield,
-                spin_limit: cx.spin_limit,
+                spin: left(cx.spin),
                 deadline: Some(st.policy.min_wait_before_steal),
                 abort: cx.abort,
             };
@@ -828,14 +802,12 @@ impl<'a> WorkerCtx<'a> {
                 WaitVerdict::DeadlineExceeded => {
                     agg.polls += wr.outcome.polls;
                     agg.parks += wr.outcome.parks;
-                    if let (Some(t0), Some(d)) = (wd_start, cx.deadline) {
-                        if t0.elapsed() >= d {
-                            // The *watchdog* expired, not just the slice.
-                            return WaitResult {
-                                outcome: agg,
-                                verdict: WaitVerdict::DeadlineExceeded,
-                            };
-                        }
+                    if cx.deadline.is_some_and(|d| left(d).is_zero()) {
+                        // The *watchdog* expired, not just the slice.
+                        return WaitResult {
+                            outcome: agg,
+                            verdict: WaitVerdict::DeadlineExceeded,
+                        };
                     }
                     if self.try_steal_one(kernel) {
                         steals += 1;
@@ -847,12 +819,11 @@ impl<'a> WorkerCtx<'a> {
             }
         }
         // Budget exhausted: the rest of the wait runs under the object's
-        // configured strategy (minus the watchdog time already burned).
-        let rest = cx
-            .deadline
-            .map(|d| wd_start.map_or(d, |t0| d.saturating_sub(t0.elapsed())));
+        // configured strategy, minus the spin and watchdog time already
+        // burned.
         let final_cx = WaitCx {
-            deadline: rest,
+            spin: left(cx.spin),
+            deadline: cx.deadline.map(left),
             ..*cx
         };
         merge(agg, wait(&final_cx))
@@ -1098,7 +1069,7 @@ impl<'a> WorkerCtx<'a> {
         // elision behaves exactly as if the owner had terminated.
         for a in accesses {
             self.ops.terminates += 1;
-            let strategy = self.strategy_of(a.data.index());
+            let strategy = self.plan.strategy(a.data.index());
             let s = &self.shared[a.data.index()];
             let elided = if a.mode.writes() {
                 publish_write(s, t.id, strategy)
@@ -1795,7 +1766,12 @@ mod tests {
         }
         let g = b.build();
 
-        let park = execute_graph(&cfg(2).spin_limit(4), &g, &RoundRobin, |_, _| {});
+        let park = execute_graph(
+            &cfg(2).spin(Duration::from_nanos(100)),
+            &g,
+            &RoundRobin,
+            |_, _| {},
+        );
         let t = park.counters.total();
         assert!(
             t.parks + t.wakes_elided > 0,
@@ -1804,8 +1780,8 @@ mod tests {
 
         let store = DataStore::from_vec(vec![0u64]);
         let c = cfg(2)
-            .spin_limit(4)
-            .wait_policies(vec![WaitPolicy::hot(1 << 20)]);
+            .spin(Duration::from_nanos(100))
+            .wait_policies(vec![WaitPolicy::hot(Duration::from_millis(20))]);
         let hot = execute_graph(&c, &g, &RoundRobin, |_, _| {
             *store.write(DataId(0)) += 1;
         });
@@ -2016,22 +1992,68 @@ mod steal_tests {
     use super::execute_graph_impl as execute_graph;
     use super::*;
     use crate::wait::WaitStrategy;
-    use rio_stf::{Access, DataId, DataStore, RoundRobin};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use rio_stf::{Access, DataId, DataStore, RoundRobin, TaskId};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
 
-    /// A figure that forces a steal: W0's first task is slow, W1's first
-    /// task waits on it, and W0 has ready independent work queued behind.
-    /// While blocked, W1 must find and claim that work.
+    /// A figure that forces a steal: W0's first task is slow, W1's
+    /// second task waits on it, and W0 has ready independent work queued
+    /// behind. While blocked, W1 must find and claim that work. W1's
+    /// first task is a prelude that holds W1 until W0 is inside T1 (see
+    /// [`Handshake`]): a W1 that scanned before W0 claimed T1 would
+    /// steal T1 itself.
     fn steal_bait() -> TaskGraph {
-        let mut b = TaskGraph::builder(6);
+        let mut b = TaskGraph::builder(5);
         b.task(&[Access::write(DataId(0))], 1, "slow"); // T1 → W0
-        b.task(&[Access::read(DataId(0))], 1, "blocked"); // T2 → W1
-        for d in 2..6u32 {
-            b.task(&[Access::write(DataId(d))], 1, "indep"); // T3..T6 alternate
-        }
+        b.task(&[Access::write(DataId(1))], 1, "prelude"); // T2 → W1
+        b.task(&[Access::write(DataId(2))], 1, "indep"); // T3 → W0
+        b.task(&[Access::read(DataId(0))], 1, "blocked"); // T4 → W1
+        b.task(&[Access::write(DataId(3))], 1, "indep"); // T5 → W0
+        b.task(&[Access::write(DataId(4))], 1, "indep"); // T6 → W1
         b.build()
+    }
+
+    /// Is this W1 running one of W0's independent tasks (T3 or T5)?
+    fn is_theft(w: WorkerId, id: TaskId) -> bool {
+        w.index() == 1 && (id.0 == 3 || id.0 == 5)
+    }
+
+    /// The kernel side of [`steal_bait`], timed by events instead of
+    /// sleeps: T1 holds W0 until W1 has stolen T3 or T5, and W1's
+    /// prelude holds W1 until W0 has entered T1.
+    #[derive(Default)]
+    struct Handshake {
+        slow_started: AtomicBool,
+        stolen: AtomicBool,
+    }
+
+    impl Handshake {
+        fn body(&self, w: WorkerId, t: &TaskDesc) {
+            match t.kind {
+                "slow" => {
+                    self.slow_started.store(true, Ordering::Release);
+                    wait_for(&self.stolen, "W1 to steal T3 or T5 while W0 holds T1");
+                }
+                "prelude" => wait_for(&self.slow_started, "W0 to enter T1"),
+                _ => {}
+            }
+            if is_theft(w, t.id) {
+                self.stolen.store(true, Ordering::Release);
+            }
+        }
+    }
+
+    /// Waits until `flag` is set; panics after 10 s.
+    fn wait_for(flag: &AtomicBool, what: &str) {
+        let t0 = std::time::Instant::now();
+        while !flag.load(Ordering::Acquire) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "waited 10 s for {what}"
+            );
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
 
     fn steal_cfg() -> RioConfig {
@@ -2043,17 +2065,16 @@ mod steal_tests {
     #[test]
     fn blocked_worker_steals_ready_foreign_tasks() {
         let g = steal_bait();
+        let hs = Handshake::default();
         let hits = Mutex::new(Vec::new());
         let report = execute_graph(&steal_cfg(), &g, &RoundRobin, |w, t| {
-            if t.kind == "slow" {
-                std::thread::sleep(Duration::from_millis(30));
-            }
+            hs.body(w, t);
             hits.lock().unwrap().push((w, t.id));
         });
         let hits = hits.into_inner().unwrap();
         assert_eq!(hits.len(), 6, "every task ran exactly once");
         assert_eq!(report.tasks_executed(), 6);
-        // W0 sleeps 30ms on T1 while W1 (blocked on D0 with a zero steal
+        // W0 holds T1 while W1 (blocked on D0 at T4, with a zero steal
         // fuse) scans forward and claims W0's ready independent tasks.
         let t = report.counters.total();
         assert!(t.steals >= 1, "expected at least one steal, got {t:?}");
@@ -2074,10 +2095,9 @@ mod steal_tests {
             .mapping(&RoundRobin)
             .compile(&g);
         let count = AtomicU64::new(0);
-        let run = flow.run(|_, t| {
-            if t.kind == "slow" {
-                std::thread::sleep(Duration::from_millis(30));
-            }
+        let hs = Handshake::default();
+        let run = flow.run(|w, t| {
+            hs.body(w, t);
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 6);

@@ -47,11 +47,12 @@ use crate::graph::{poison_writes, run_body_with_recovery, stall_diagnostic};
 use crate::protocol::{
     declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
     get_write_word_cx, terminate_read, terminate_write, AbortCause, AbortFlag, LocalDataState,
-    RecoveryCtx, SharedDataState, WaitCx, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
+    RecoveryCtx, SharedDataState, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::StatusTable;
 use crate::trace_api::WorkerTracer;
+use crate::wait::WaitPlan;
 
 /// A mapping that may leave tasks unassigned (`None` = decided at run
 /// time by claiming).
@@ -310,16 +311,10 @@ where
     let mut claimed = 0u64;
     let mut lost_races = 0u64;
     let mut spans = Vec::new();
-    let wait = cfg.wait;
+    let plan = WaitPlan::of(cfg);
     let measure = cfg.measure_time;
     let record = cfg.record_spans;
     let wd = cfg.watchdog.is_some();
-    let cx = WaitCx {
-        strategy: cfg.wait,
-        spin_limit: cfg.spin_limit,
-        deadline: cfg.watchdog,
-        abort,
-    };
     let mut tracer = cfg
         .trace
         .as_ref()
@@ -382,6 +377,7 @@ where
                 if wd {
                     status.begin_wait(me, a.data);
                 }
+                let cx = plan.cx(a.data.index(), cfg.watchdog, abort);
                 let wr = if writes {
                     get_write_word_cx(s, expected, &cx)
                 } else {
@@ -533,10 +529,11 @@ where
                 ops.terminates += 1;
                 let s = &shared[a.data.index()];
                 let l = &mut locals[a.data.index()];
+                let strategy = plan.strategy(a.data.index());
                 let elided = if a.mode.writes() {
-                    terminate_write(s, l, t.id, wait)
+                    terminate_write(s, l, t.id, strategy)
                 } else {
-                    terminate_read(s, l, wait)
+                    terminate_read(s, l, strategy)
                 };
                 if elided {
                     if let Some(c) = ctr {

@@ -436,16 +436,17 @@ pub struct WaitResult {
 /// the strategy, the (configurable) pure-spin budget, an optional watchdog
 /// deadline, and the run's abort flag.
 ///
-/// The deadline clock starts when a wait leaves its pure-spin phase; the
-/// spin phase itself (at most `spin_limit` polls) is never timed.
+/// The deadline covers the whole wait, spin phase included: the clock
+/// starts at the wait's first failed poll, and the spin phase is capped
+/// at the deadline.
 #[derive(Debug, Clone, Copy)]
 pub struct WaitCx<'a> {
     /// How to wait once the spin budget is exhausted.
     pub strategy: WaitStrategy,
-    /// Pure-spin polls before escalating (yield/park/timed polling).
-    pub spin_limit: u32,
-    /// `Some(d)`: give up (verdict [`WaitVerdict::DeadlineExceeded`]) after
-    /// blocking for `d` past the spin phase. `None`: wait forever.
+    /// Pure-spin time before escalating (yield/park/timed polling).
+    pub spin: Duration,
+    /// `Some(d)`: give up (verdict [`WaitVerdict::DeadlineExceeded`]) once
+    /// the wait has lasted `d`. `None`: wait forever.
     pub deadline: Option<Duration>,
     /// The run's abort flag, re-checked on every poll.
     pub abort: &'a AbortFlag,
@@ -457,9 +458,48 @@ impl<'a> WaitCx<'a> {
     pub fn new(strategy: WaitStrategy, abort: &'a AbortFlag) -> WaitCx<'a> {
         WaitCx {
             strategy,
-            spin_limit: WaitStrategy::DEFAULT_SPIN_LIMIT,
+            spin: WaitStrategy::DEFAULT_SPIN,
             deadline: None,
             abort,
+        }
+    }
+}
+
+/// Polls between two clock reads of the spin phase: one `PAUSE` costs
+/// 3–45 ns depending on the core, so the budget overshoots by at most a
+/// few hundred nanoseconds.
+const SPIN_POLLS_PER_CLOCK: u64 = 8;
+
+/// The pure-spin phase every wait starts with (`wait_until_cx` and the
+/// reduction extension's wait share it): `spin_loop` polls of `ready`
+/// until it holds, `abort` is armed, or `budget` has elapsed since
+/// `start`, reading the clock once every [`SPIN_POLLS_PER_CLOCK`] polls.
+/// Returns the polls made and, when the phase settled the wait, its
+/// verdict; `None` means the budget ran out and the wait must escalate.
+#[inline]
+pub(crate) fn spin_phase(
+    start: Instant,
+    budget: Duration,
+    abort: Option<&AbortFlag>,
+    ready: impl Fn() -> bool,
+) -> (u64, Option<WaitVerdict>) {
+    if budget.is_zero() {
+        return (0, None);
+    }
+    let mut polls: u64 = 0;
+    loop {
+        for _ in 0..SPIN_POLLS_PER_CLOCK {
+            std::hint::spin_loop();
+            polls += 1;
+            if ready() {
+                return (polls, Some(WaitVerdict::Ready));
+            }
+            if abort.is_some_and(AbortFlag::armed) {
+                return (polls, Some(WaitVerdict::Aborted));
+            }
+        }
+        if start.elapsed() >= budget {
+            return (polls, None);
         }
     }
 }
@@ -580,7 +620,8 @@ impl SharedDataState {
 
     /// Waits until the epoch word masked with `mask` equals `expected`,
     /// the run aborts, or the deadline (if any) expires, according to
-    /// `cx`. The abort flag is re-checked on every poll.
+    /// `cx`: spin for `cx.spin` (capped at the deadline), then escalate
+    /// to `cx.strategy`. The abort flag is re-checked on every poll.
     ///
     /// Spurious wake-ups are harmless by construction: every strategy —
     /// including the `Park` branch, whose `Condvar::wait`/`wait_for` may
@@ -602,20 +643,16 @@ impl SharedDataState {
         if ready(Ordering::Acquire) {
             return done(0, 0, WaitVerdict::Ready);
         }
-        let mut polls: u64 = 0;
-        // Short pure-spin phase common to all strategies.
-        while polls < u64::from(cx.spin_limit) {
-            std::hint::spin_loop();
-            polls += 1;
-            if ready(Ordering::Acquire) {
-                return done(polls, 0, WaitVerdict::Ready);
-            }
-            if cx.abort.armed() {
-                return done(polls, 0, WaitVerdict::Aborted);
-            }
+        // The watchdog clock covers the whole wait: it starts here, and
+        // the spin phase common to all strategies is capped at it.
+        let start = Instant::now();
+        let budget = cx.deadline.map_or(cx.spin, |d| cx.spin.min(d));
+        let (mut polls, settled) =
+            spin_phase(start, budget, Some(cx.abort), || ready(Ordering::Acquire));
+        if let Some(verdict) = settled {
+            return done(polls, 0, verdict);
         }
-        // The watchdog clock starts here, once the wait turns blocking.
-        let timer = cx.deadline.map(|d| (Instant::now(), d));
+        let timer = cx.deadline.map(|d| (start, d));
         let expired = || matches!(timer, Some((start, d)) if start.elapsed() >= d);
         match cx.strategy {
             WaitStrategy::Spin => loop {
@@ -1290,7 +1327,7 @@ mod tests {
                 let flag = AbortFlag::new();
                 let cx = WaitCx {
                     strategy: WaitStrategy::Park,
-                    spin_limit: 0,
+                    spin: Duration::ZERO,
                     deadline: None,
                     abort: &flag,
                 };
@@ -1452,7 +1489,7 @@ mod tests {
             declare_write(&mut local, TaskId(1)); // never performed
             let cx = WaitCx {
                 strategy,
-                spin_limit: 4,
+                spin: Duration::from_micros(1),
                 deadline: Some(Duration::from_millis(10)),
                 abort: &flag,
             };
@@ -1464,6 +1501,101 @@ mod tests {
             );
             assert!(r.outcome.waited());
         }
+    }
+
+    /// A fresh object and a worker's view of it that has declared its
+    /// first write, `TaskId(1)`: the guard stays closed until some other
+    /// worker terminates that write.
+    fn guard_on_first_write() -> (Arc<SharedDataState>, LocalDataState) {
+        let mut local = LocalDataState::default();
+        declare_write(&mut local, TaskId(1));
+        (Arc::new(SharedDataState::default()), local)
+    }
+
+    /// A `Park` read wait with the given spin budget on
+    /// [`guard_on_first_write`], met by a producer that runs `hold` once
+    /// the waiter is about to wait, then publishes the write.
+    fn late_handoff(spin: Duration, hold: impl FnOnce(&SharedDataState)) -> WaitResult {
+        let (shared, local) = guard_on_first_write();
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let (s, b) = (Arc::clone(&shared), Arc::clone(&started));
+        let waiter = std::thread::spawn(move || {
+            let flag = AbortFlag::new();
+            let cx = WaitCx {
+                strategy: WaitStrategy::Park,
+                spin,
+                deadline: None,
+                abort: &flag,
+            };
+            b.wait();
+            get_read_cx(&s, &local, &cx)
+        });
+        started.wait();
+        hold(&shared);
+        let mut local_a = LocalDataState::default();
+        terminate_write(&shared, &mut local_a, TaskId(1), WaitStrategy::Park);
+        waiter.join().unwrap()
+    }
+
+    #[test]
+    fn zero_spin_budget_parks_at_once() {
+        // Publish only after the waiter advertised itself for parking.
+        let r = late_handoff(Duration::ZERO, |s| {
+            while s.waiters.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        });
+        assert_eq!(r.verdict, WaitVerdict::Ready);
+        assert!(r.outcome.parks >= 1, "no spin budget: {:?}", r.outcome);
+    }
+
+    #[test]
+    fn a_handoff_inside_the_spin_budget_never_parks() {
+        let r = late_handoff(Duration::from_secs(1), |_| {
+            std::thread::sleep(Duration::from_millis(2))
+        });
+        assert_eq!(r.verdict, WaitVerdict::Ready);
+        assert_eq!(r.outcome.parks, 0, "met inside the budget: {:?}", r.outcome);
+        assert!(r.outcome.polls > 0);
+    }
+
+    #[test]
+    fn the_deadline_covers_the_spin_phase() {
+        let (shared, local) = guard_on_first_write();
+        let flag = AbortFlag::new();
+        let cx = WaitCx {
+            strategy: WaitStrategy::Park,
+            spin: Duration::from_secs(1),
+            deadline: Some(Duration::from_millis(2)),
+            abort: &flag,
+        };
+        let t0 = std::time::Instant::now();
+        let r = get_write_cx(&shared, &local, &cx);
+        let took = t0.elapsed();
+        assert_eq!(r.verdict, WaitVerdict::DeadlineExceeded);
+        assert!(
+            took < Duration::from_millis(500),
+            "spun past the deadline: {took:?}"
+        );
+    }
+
+    #[test]
+    fn a_zero_length_steal_slice_ends_on_its_first_failed_poll() {
+        // The slice `wait_or_steal` runs under `min_wait_before_steal =
+        // 0`: the spin phase is capped at the zero deadline, so the slice
+        // hands back to the scan after one poll.
+        let (shared, local) = guard_on_first_write();
+        let flag = AbortFlag::new();
+        let slice = WaitCx {
+            strategy: WaitStrategy::SpinYield,
+            spin: WaitStrategy::DEFAULT_SPIN,
+            deadline: Some(Duration::ZERO),
+            abort: &flag,
+        };
+        let r = get_read_cx(&shared, &local, &slice);
+        assert_eq!(r.verdict, WaitVerdict::DeadlineExceeded);
+        assert_eq!(r.outcome.polls, 1);
     }
 
     #[test]

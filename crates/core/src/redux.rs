@@ -57,8 +57,9 @@ use rio_stf::{DataId, DataStore, Mapping, TaskId, WorkerId};
 use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
 use crate::park;
+use crate::protocol::{spin_phase, WaitOutcome};
 use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::wait::WaitStrategy;
+use crate::wait::{WaitPlan, WaitPolicy, WaitStrategy};
 
 /// Access modes of the reduction-extended model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,49 +173,51 @@ impl RShared {
         }
     }
 
-    /// Waits until `cond` holds. The closure receives the memory ordering
+    /// Waits until `cond` holds under `policy`: the spin phase every
+    /// wait shares ([`crate::protocol`]'s `spin_phase`) for `policy.spin`,
+    /// then `policy.strategy`. The closure receives the memory ordering
     /// it must use for its loads: `Acquire` on the fast/spin paths,
     /// `SeqCst` for the parked re-check that anchors the wake-elision
     /// argument.
     #[inline]
-    fn wait_until(&self, strategy: WaitStrategy, cond: impl Fn(Ordering) -> bool) -> u64 {
+    fn wait_until(&self, policy: WaitPolicy, cond: impl Fn(Ordering) -> bool) -> WaitOutcome {
         if cond(Ordering::Acquire) {
-            return 0;
+            return WaitOutcome::default();
         }
-        let mut polls = 0u64;
-        while polls < u64::from(WaitStrategy::DEFAULT_SPIN_LIMIT) {
-            std::hint::spin_loop();
-            polls += 1;
-            if cond(Ordering::Acquire) {
-                return polls;
-            }
+        let (mut polls, settled) = spin_phase(Instant::now(), policy.spin, None, || {
+            cond(Ordering::Acquire)
+        });
+        if settled.is_some() {
+            return WaitOutcome { polls, parks: 0 };
         }
-        match strategy {
+        match policy.strategy {
             WaitStrategy::Spin => loop {
                 std::hint::spin_loop();
                 polls += 1;
                 if cond(Ordering::Acquire) {
-                    return polls;
+                    return WaitOutcome { polls, parks: 0 };
                 }
             },
             WaitStrategy::SpinYield => loop {
                 std::thread::yield_now();
                 polls += 1;
                 if cond(Ordering::Acquire) {
-                    return polls;
+                    return WaitOutcome { polls, parks: 0 };
                 }
             },
             WaitStrategy::Park => {
                 self.waiters.fetch_add(1, Ordering::SeqCst);
                 let bucket = park::bucket_for(self.last_executed_write.as_ptr());
+                let mut parks = 0u64;
                 let mut guard = bucket.lock.lock();
                 while !cond(Ordering::SeqCst) {
                     bucket.cond.wait(&mut guard);
                     polls += 1;
+                    parks += 1;
                 }
                 drop(guard);
                 self.waiters.fetch_sub(1, Ordering::Release);
-                polls
+                WaitOutcome { polls, parks }
             }
         }
     }
@@ -258,7 +261,7 @@ impl ReduxRio {
                         let mut ctx = ReduxCtx {
                             me,
                             num_workers: cfg.workers,
-                            wait: cfg.wait,
+                            plan: WaitPlan::of(cfg),
                             measure: cfg.measure_time,
                             mapping,
                             shared,
@@ -309,7 +312,8 @@ impl ReduxRio {
 pub struct ReduxCtx<'a, T> {
     me: WorkerId,
     num_workers: usize,
-    wait: WaitStrategy,
+    /// Every object's wait policy, for waits and terminates alike.
+    plan: WaitPlan<'a>,
     measure: bool,
     mapping: &'a (dyn Mapping + 'a),
     shared: &'a [RShared],
@@ -320,8 +324,7 @@ pub struct ReduxCtx<'a, T> {
     clock: TaskClock,
     idle_time: Duration,
     tasks_executed: u64,
-    /// Always-on counter line (`None` when disabled). Redux's `wait_until`
-    /// reports polls only, so its parks counter stays zero.
+    /// Always-on counter line (`None` when disabled).
     ctr: Option<&'a crate::counters::WorkerCounters>,
 }
 
@@ -368,12 +371,13 @@ impl<'a, T> ReduxCtx<'a, T> {
                     continue;
                 }
                 let wait_start = self.measure.then(Instant::now);
-                let polls = s.wait_until(self.wait, ready);
-                if polls > 0 {
+                let wo = s.wait_until(self.plan.policy(a.data.index()), ready);
+                if wo.waited() {
                     self.ops.waits += 1;
-                    self.ops.poll_loops += polls;
+                    self.ops.poll_loops += wo.polls;
                     if let Some(c) = self.ctr {
-                        c.add_spins(polls);
+                        c.add_spins(wo.polls);
+                        c.add_parks(wo.parks);
                     }
                     if let Some(t0) = wait_start {
                         self.idle_time += t0.elapsed();
@@ -415,7 +419,7 @@ impl<'a, T> ReduxCtx<'a, T> {
                 // Under Park the publishing store is SeqCst so it takes a
                 // place in the total order against the waiter's SeqCst
                 // increment-then-re-check (see `wake_if_waiters`).
-                let park = self.wait == WaitStrategy::Park;
+                let park = self.plan.strategy(a.data.index()) == WaitStrategy::Park;
                 let publish = if park {
                     Ordering::SeqCst
                 } else {
@@ -518,6 +522,36 @@ mod tests {
 
     fn rio(workers: usize) -> ReduxRio {
         ReduxRio::new(RioConfig::with_workers(workers))
+    }
+
+    /// Parks counted by a two-worker handoff: W0 writes D0 after a 20 ms
+    /// body, W1's read of D0 waits for it under a `Park` run with the
+    /// given spin budget.
+    fn handoff_parks(spin: Duration) -> u64 {
+        let store = DataStore::from_vec(vec![0u64]);
+        let cfg = RioConfig::with_workers(2)
+            .wait(WaitStrategy::Park)
+            .spin(spin);
+        let report = ReduxRio::new(cfg).run(&store, &RoundRobin, |ctx| {
+            ctx.task(&[RAccess::write(DataId(0))], |v| {
+                std::thread::sleep(Duration::from_millis(20));
+                *v.write(DataId(0)) = 7;
+            });
+            ctx.task(&[RAccess::read(DataId(0))], |v| {
+                assert_eq!(*v.read(DataId(0)), 7);
+            });
+        });
+        report.counters.total().parks
+    }
+
+    #[test]
+    fn waits_honour_the_spin_budget_and_count_parks() {
+        assert!(handoff_parks(Duration::ZERO) >= 1, "no spin budget: parks");
+        assert_eq!(
+            handoff_parks(Duration::from_secs(5)),
+            0,
+            "met while spinning"
+        );
     }
 
     #[test]

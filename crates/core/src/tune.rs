@@ -71,11 +71,10 @@ pub struct TuneOptions {
     /// Default: 0.05.
     pub tolerance: f64,
     /// Spin budget granted to hot objects' [`WaitPolicy::hot`] entries.
-    /// Default: 4 × [`WaitStrategy::DEFAULT_SPIN_LIMIT`].
-    pub hot_spin_limit: u32,
+    /// Default: 4 × [`WaitStrategy::DEFAULT_SPIN`].
+    pub hot_spin: Duration,
     /// An object is hot only if its mean recorded polls-per-wait stays at
-    /// or below this (and it never parked). Default:
-    /// 4 × [`WaitStrategy::DEFAULT_SPIN_LIMIT`].
+    /// or below this (and it never parked). Default: 256.
     pub hot_poll_cutoff: u64,
 }
 
@@ -84,8 +83,8 @@ impl Default for TuneOptions {
         TuneOptions {
             max_iters: 3,
             tolerance: 0.05,
-            hot_spin_limit: 4 * WaitStrategy::DEFAULT_SPIN_LIMIT,
-            hot_poll_cutoff: 4 * u64::from(WaitStrategy::DEFAULT_SPIN_LIMIT),
+            hot_spin: 4 * WaitStrategy::DEFAULT_SPIN,
+            hot_poll_cutoff: 256,
         }
     }
 }
@@ -289,7 +288,7 @@ impl<'g> Tuner<'g> {
                     && parks[d] == 0
                     && polls[d] / waits[d] <= self.opts.hot_poll_cutoff;
                 if hot {
-                    WaitPolicy::hot(self.opts.hot_spin_limit)
+                    WaitPolicy::hot(self.opts.hot_spin)
                 } else {
                     WaitPolicy::cold()
                 }
@@ -314,7 +313,7 @@ impl<'g> Tuner<'g> {
         );
         let total = counters.total();
         let policy = if total.waited() && total.park_fraction() == 0.0 {
-            WaitPolicy::hot(self.opts.hot_spin_limit)
+            WaitPolicy::hot(self.opts.hot_spin)
         } else {
             WaitPolicy::cold()
         };
@@ -377,7 +376,7 @@ mod tests {
             assert_eq!(plan.hot_objects(), 2, "all objects hot");
             assert_eq!(
                 plan.policies[0],
-                WaitPolicy::hot(TuneOptions::default().hot_spin_limit)
+                WaitPolicy::hot(TuneOptions::default().hot_spin)
             );
         } else {
             assert_eq!(plan.hot_objects(), 0);

@@ -175,7 +175,7 @@ fn a_dropped_task_is_diagnosed_as_a_stall_not_a_hang() {
     let err = Executor::new(
         RioConfig::with_workers(DROP_WORKERS)
             .wait(WaitStrategy::Park)
-            .spin_limit(16),
+            .spin(Duration::from_micros(1)),
     )
     .mapping(&Lying)
     .watchdog(deadline)
@@ -193,7 +193,7 @@ fn a_dropped_task_is_diagnosed_on_the_flow_api() {
     let rio = Rio::new(
         RioConfig::with_workers(DROP_WORKERS)
             .wait(WaitStrategy::Park)
-            .spin_limit(16)
+            .spin(Duration::from_micros(1))
             .watchdog(deadline),
     );
     let err = rio
@@ -230,7 +230,7 @@ fn a_missing_write_is_diagnosed_on_a_compiled_flow() {
     let err = Executor::new(
         RioConfig::with_workers(DROP_WORKERS)
             .wait(WaitStrategy::Park)
-            .spin_limit(16),
+            .spin(Duration::from_micros(1)),
     )
     .mapping(&mapping)
     .watchdog(deadline)
@@ -307,7 +307,7 @@ fn spurious_wakeup_storms_are_absorbed_under_park() {
     let run = Executor::new(
         RioConfig::with_workers(4)
             .wait(WaitStrategy::Park)
-            .spin_limit(0) // park immediately: every wait is stormable
+            .spin(Duration::ZERO) // park immediately: every wait is stormable
             .fault_hook(plan.handle()),
     )
     .watchdog(BACKSTOP)

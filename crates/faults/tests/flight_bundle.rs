@@ -186,7 +186,7 @@ fn a_stalled_outcome_carries_the_aborting_workers_history() {
     let err = Executor::new(
         RioConfig::with_workers(WORKERS)
             .wait(WaitStrategy::Park)
-            .spin_limit(16)
+            .spin(Duration::from_micros(1))
             .fault_hook(plan.handle()),
     )
     .watchdog(Duration::from_millis(50))

@@ -14,7 +14,7 @@
 //!
 //! * `Run { task, start..end }` — execute a task mapped to this worker;
 //!   its accesses live in `arena[start..end]` of one contiguous access
-//!   arena ([`rio_stf::FlatAccesses`]) instead of a per-task `Vec`;
+//!   arena instead of a per-task `Vec`, shared data first;
 //! * `Sync { data, delta }` — apply the **coalesced** private-state delta
 //!   ([`SyncDelta`]) of a maximal run of consecutive non-local tasks on
 //!   one data object, in place of their individual declares.
@@ -43,6 +43,18 @@
 //! of times (the per-run protocol state is allocated per run, so a run
 //! that aborts — e.g. [`ExecError::TaskPanicked`] — leaves the program
 //! reusable).
+//!
+//! ## Worker-private data
+//!
+//! The same relevance bitsets tell which data the own tasks of exactly
+//! one worker access. With stealing off, nobody else ever reads or
+//! writes such a datum, and its one worker performs its accesses in flow
+//! order: every get would pass at its first poll and no other worker
+//! reads the terminate. Each `Run`'s arena slice therefore lists its
+//! shared accesses first; only that prefix goes through the protocol
+//! (the recovery path still sees the whole slice). The shared table and
+//! the private views a run allocates end at the last shared datum, so a
+//! flow without shared data allocates neither. See DESIGN.md §9.
 //!
 //! ```
 //! use rio_core::prelude::*;
@@ -75,6 +87,7 @@ use crate::protocol::{
     declare_read, declare_write, expected_read_word, expected_write_word, AbortFlag,
     LocalDataState, SharedDataState, SyncDelta,
 };
+use crate::pruning::set_bits;
 use crate::report::ExecReport;
 use crate::status::StatusTable;
 
@@ -83,11 +96,13 @@ use crate::status::StatusTable;
 pub(crate) const SYNC_BIT: u32 = 1 << 31;
 
 /// `Run` instruction: execute the task at flow index `task`; its accesses
-/// are `arena[start..end]`.
+/// are `arena[start..end]`, shared data first: `arena[start..synced]` go
+/// through the protocol, `arena[synced..end]` are worker-private.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RunInstr {
     pub(crate) task: u32,
     pub(crate) start: u32,
+    pub(crate) synced: u32,
     pub(crate) end: u32,
 }
 
@@ -146,6 +161,9 @@ pub struct CompileStats {
     /// Deltas dead at the end of a worker's program (no own task follows)
     /// and therefore dropped.
     pub trailing_syncs: u64,
+    /// Accesses compiled out of the protocol: accesses of own tasks to
+    /// worker-private data, which run with no get and no terminate.
+    pub private_accesses: u64,
 }
 
 impl CompileStats {
@@ -171,13 +189,15 @@ impl CompileStats {
 /// (first-toucher placement under a first-touch NUMA policy).
 ///
 /// `expected[k]` is the packed word ([`crate::protocol::pack_epoch`])
-/// that `accesses[k]`'s `get_*` waits for — computed once by simulating
+/// that `accesses[k]`'s `get_*` waits for (0 for a private access, which
+/// has no get) — computed once by simulating
 /// the flow's declares at compile time (worker-independent: every
 /// worker's private view before a task equals the sequential replay of
 /// all earlier accesses, whether it declared or performed them). A
 /// [`RunInstr`]'s `start..end` indexes the arena of the *owning worker's
-/// node*. On a single-node topology the one arena is laid out exactly
-/// like the pre-PR 9 global arena ([`rio_stf::FlatAccesses`] order).
+/// node*. On a single-node topology the one arena holds every task's
+/// accesses back to back in flow order, each task's shared accesses
+/// before its private ones.
 #[derive(Debug, Default)]
 pub(crate) struct NodeArena {
     pub(crate) accesses: Vec<rio_stf::Access>,
@@ -190,16 +210,17 @@ pub(crate) struct NodeArena {
 ///
 /// Everything interpretation pays per run is paid once here: mapping
 /// evaluation (one call per task), preflight validation
-/// ([`RioConfig::preflight`]), the pruning-style relevance analysis, and
-/// the per-task declare bookkeeping (coalesced into `Sync` deltas). The
-/// per-run state — shared protocol tables, private views, reports — is
-/// allocated fresh on every run, so runs are independent: a run that
-/// aborts leaves the program intact.
+/// ([`RioConfig::preflight`]), the pruning-style relevance analysis, the
+/// per-task declare bookkeeping (coalesced into `Sync` deltas) and the
+/// classification of worker-private data, whose accesses skip the
+/// protocol. Only the protocol state itself is per run, so a run that
+/// fails leaves the program intact, and concurrent runs of one program
+/// are independent.
 ///
 /// With a multi-node [`RioConfig::topology`], each worker's access
 /// entries and expected words live in its node's [`NodeArena`] so the
 /// hot `get → kernel → terminate` walk streams node-local memory;
-/// without one there is a single arena in classic flat order.
+/// without one there is a single arena in flow order.
 #[must_use = "a CompiledFlow does nothing until `.run()` is called"]
 pub struct CompiledFlow<'g> {
     cfg: RioConfig,
@@ -213,6 +234,9 @@ pub struct CompiledFlow<'g> {
     node_of_worker: Vec<u32>,
     programs: Vec<WorkerProgram>,
     stats: CompileStats,
+    /// Entries of the shared table and of every private view: up to the
+    /// last shared datum. Private data past it need neither.
+    table_len: usize,
 }
 
 /// Lowers `graph` under `mapping` into per-worker programs. Behind
@@ -238,27 +262,60 @@ pub(crate) fn try_compile<'g>(
         .iter()
         .map(|t| mapping.worker_of(t.id, workers).index() as u32)
         .collect();
-    let flat = graph.flat_accesses();
-    // Precompute every access's expected epoch word by replaying the
-    // flow's declares once. The simulated view before task t is the same
-    // for every worker — declares and terminates update private state
-    // identically, and all of a task's gets use the pre-task view (its
-    // own terminates happen after the body; a task never declares one
-    // data object twice) — so one sequential pass serves all workers.
-    let expected: Vec<u64> = {
-        let mut sim: Vec<LocalDataState> = vec![LocalDataState::default(); graph.num_data()];
-        let mut words = vec![0u64; flat.arena().len()];
-        for (i, t) in tasks.iter().enumerate() {
-            let (start, _) = flat.range(i);
-            for (j, a) in flat.of(i).iter().enumerate() {
-                let l = &sim[a.data.index()];
-                words[start as usize + j] = if a.mode.writes() {
-                    expected_write_word(l)
-                } else {
-                    expected_read_word(l)
-                };
+    // Relevance bitsets: which data does each worker's own work touch?
+    // (Pass 1 of the §3.5 pruning pre-pass.)
+    let words = graph.num_data().div_ceil(64);
+    let touched = crate::pruning::worker_data_bitsets(graph, &owners, workers);
+    // Shared data go through the protocol: data the own tasks of two or
+    // more workers touch, or, with stealing armed, every datum touched (a
+    // thief may run any task, so nothing is private). The rest of the
+    // touched data are worker-private.
+    let (mut once, mut twice) = (vec![0u64; words], vec![0u64; words]);
+    for w in 0..workers {
+        for (k, &m) in touched[w * words..(w + 1) * words].iter().enumerate() {
+            twice[k] |= once[k] & m;
+            once[k] |= m;
+        }
+    }
+    let shared_data = if cfg.stealing.is_some() { once } else { twice };
+    let is_shared = |d: usize| shared_data[d / 64] & (1u64 << (d % 64)) != 0;
+    // Shared tables and private views end at the last shared datum.
+    let table_len = set_bits(&shared_data).last().map_or(0, |d| d + 1);
+    // Lay out the access arena, each task's shared accesses first, and
+    // precompute the expected epoch word of every shared access by
+    // replaying the flow's declares once (a private access has no get and
+    // carries 0). The simulated view before task t is the same for every
+    // worker — declares and terminates update private state identically,
+    // and all of a task's gets use the pre-task view (its own terminates
+    // happen after the body; a task never declares one data object
+    // twice) — so one sequential pass serves all workers.
+    let total = graph.total_accesses();
+    assert!(
+        u32::try_from(total).is_ok(),
+        "flow declares more than u32::MAX accesses"
+    );
+    let mut accesses = Vec::with_capacity(total);
+    let mut expected = Vec::with_capacity(total);
+    let mut private_accesses = 0u64;
+    {
+        let mut sim: Vec<LocalDataState> = vec![LocalDataState::default(); table_len];
+        for t in tasks {
+            for shared_pass in [true, false] {
+                for a in &t.accesses {
+                    let d = a.data.index();
+                    if is_shared(d) != shared_pass {
+                        continue;
+                    }
+                    expected.push(match (shared_pass, a.mode.writes()) {
+                        (false, _) => 0,
+                        (true, true) => expected_write_word(&sim[d]),
+                        (true, false) => expected_read_word(&sim[d]),
+                    });
+                    accesses.push(*a);
+                    private_accesses += u64::from(!shared_pass);
+                }
             }
-            for a in flat.of(i) {
+            for a in t.accesses.iter().filter(|a| is_shared(a.data.index())) {
                 let l = &mut sim[a.data.index()];
                 if a.mode.writes() {
                     declare_write(l, t.id);
@@ -267,12 +324,7 @@ pub(crate) fn try_compile<'g>(
                 }
             }
         }
-        words
-    };
-    // Relevance bitsets: which data does each worker's own work touch?
-    // (Pass 1 of the §3.5 pruning pre-pass.)
-    let words = graph.num_data().div_ceil(64);
-    let touched = crate::pruning::worker_data_bitsets(graph, &owners, workers);
+    }
 
     let mut stats = CompileStats {
         flow_len: graph.len(),
@@ -281,30 +333,48 @@ pub(crate) fn try_compile<'g>(
         folded_declares: 0,
         irrelevant_declares: 0,
         trailing_syncs: 0,
+        private_accesses,
     };
     let mut programs = Vec::with_capacity(workers);
-    let mut pending: Vec<SyncDelta> = vec![SyncDelta::EMPTY; graph.num_data()];
+    // Only shared data are ever folded: a foreign access relevant to this
+    // worker touches a datum two workers touch.
+    let mut pending: Vec<SyncDelta> = vec![SyncDelta::EMPTY; table_len];
     // Data objects with a pending delta, in first-touch order — flushed
     // deterministically so repeated compilations emit identical programs.
     let mut touch_order: Vec<u32> = Vec::new();
+    let mut owned = vec![0usize; workers];
+    for &o in &owners {
+        owned[o as usize] += 1;
+    }
     for w in 0..workers {
         let mine = &touched[w * words..(w + 1) * words];
-        let mut prog = WorkerProgram::default();
+        let mut prog = WorkerProgram {
+            code: Vec::with_capacity(owned[w]),
+            runs: Vec::with_capacity(owned[w]),
+            syncs: Vec::new(),
+        };
+        // Arena offset of the current task: the arena holds every task's
+        // accesses back to back, in flow order.
+        let mut start = 0u32;
         for (i, t) in tasks.iter().enumerate() {
+            let end = start + t.accesses.len() as u32;
             if owners[i] as usize == w {
                 for &d in &touch_order {
                     let delta = std::mem::take(&mut pending[d as usize]);
                     prog.push_sync(SyncInstr { data: d, delta });
                 }
                 touch_order.clear();
-                let (start, end) = flat.range(i);
+                let shared = t.accesses.iter().filter(|a| is_shared(a.data.index()));
                 prog.push_run(RunInstr {
                     task: i as u32,
                     start,
+                    synced: start + shared.count() as u32,
                     end,
                 });
             } else {
-                for a in flat.of(i) {
+                // A private datum is never foreign: its accesses all belong
+                // to one worker, and no other worker's relevance set holds it.
+                for a in &t.accesses {
                     let d = a.data.index();
                     if mine[d / 64] & (1u64 << (d % 64)) == 0 {
                         stats.irrelevant_declares += 1;
@@ -318,6 +388,7 @@ pub(crate) fn try_compile<'g>(
                     stats.folded_declares += 1;
                 }
             }
+            start = end;
         }
         // Deltas past the worker's last own task are dead: private state
         // is only consulted by the worker's own `get_*` calls.
@@ -330,13 +401,11 @@ pub(crate) fn try_compile<'g>(
         stats.syncs_per_worker.push(prog.syncs.len());
         programs.push(prog);
     }
-
     // Lay the access arena and expected words out per NUMA node. On the
-    // (default) single-node topology the one arena keeps the exact flat
-    // order — same offsets, same bytes as the historical global arena.
-    // With a multi-node topology each worker's Run slices are copied into
-    // its node's arena in program order and the Run offsets remapped, so
-    // the hot walk only ever streams node-local memory.
+    // (default) single-node topology the one arena keeps flow order. With
+    // a multi-node topology each worker's Run slices are copied into its
+    // node's arena in program order and the Run offsets remapped, so the
+    // hot walk only ever streams node-local memory.
     let node_of_worker = cfg.node_assignment();
     let num_nodes = node_of_worker
         .iter()
@@ -344,10 +413,7 @@ pub(crate) fn try_compile<'g>(
         .max()
         .unwrap_or(1);
     let arenas: Vec<NodeArena> = if num_nodes == 1 {
-        vec![NodeArena {
-            accesses: flat.arena().to_vec(),
-            expected,
-        }]
+        vec![NodeArena { accesses, expected }]
     } else {
         let mut arenas: Vec<NodeArena> = (0..num_nodes).map(|_| NodeArena::default()).collect();
         for (w, prog) in programs.iter_mut().enumerate() {
@@ -355,10 +421,9 @@ pub(crate) fn try_compile<'g>(
             for r in &mut prog.runs {
                 let range = r.start as usize..r.end as usize;
                 let start = arena.accesses.len() as u32;
-                arena
-                    .accesses
-                    .extend_from_slice(&flat.arena()[range.clone()]);
+                arena.accesses.extend_from_slice(&accesses[range.clone()]);
                 arena.expected.extend_from_slice(&expected[range]);
+                r.synced = start + (r.synced - r.start);
                 r.start = start;
                 r.end = arena.accesses.len() as u32;
             }
@@ -373,6 +438,7 @@ pub(crate) fn try_compile<'g>(
         node_of_worker,
         programs,
         stats,
+        table_len,
     })
 }
 
@@ -421,7 +487,7 @@ impl<'g> CompiledFlow<'g> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         let cfg = &self.cfg;
-        let shared = SharedDataState::new_table(self.graph.num_data());
+        let shared = SharedDataState::new_table(self.table_len);
         let shared = &shared;
         let kernel = &kernel;
         let abort = &AbortFlag::new();
@@ -552,7 +618,7 @@ impl<'g> CompiledFlow<'g> {
         let arena = &self.arenas[self.node_of_worker[me.index()] as usize];
         let mut ctx = WorkerCtx::new(
             &self.cfg,
-            self.graph.num_data(),
+            self.table_len,
             shared,
             me,
             abort,
@@ -592,6 +658,7 @@ impl<'g> CompiledFlow<'g> {
                     t,
                     &arena.accesses[range.clone()],
                     &arena.expected[range],
+                    (r.synced - r.start) as usize,
                 ) {
                     break;
                 }
@@ -654,6 +721,19 @@ mod tests {
         assert_eq!(stats.irrelevant_declares, 120);
         assert_eq!(stats.coalesce_factor(), 0.0);
         assert_eq!(stats.instructions(), 40);
+        // Every datum is private to one worker: no get, no terminate, no
+        // sync on any worker, and no table to allocate.
+        assert_eq!(stats.private_accesses, 40);
+        assert_eq!(flow.table_len, 0);
+        let ran = AtomicU64::new(0);
+        let run = flow.run(|_, _| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 40);
+        for w in &run.report.workers {
+            assert_eq!(w.tasks_executed, 10);
+            assert_eq!(w.ops, crate::report::OpCounts::default(), "{}", w.worker);
+        }
     }
 
     #[test]
@@ -870,25 +950,27 @@ mod tests {
 
     #[test]
     fn failed_run_leaves_the_program_reusable() {
-        let mut b = TaskGraph::builder(1);
-        for _ in 0..30 {
-            b.task(&[Access::read_write(DataId(0))], 1, "inc");
-        }
-        let g = b.build();
+        // Failed and good runs alternate on one program, over shared and
+        // private data: every good run still computes the sequential
+        // result.
+        let n = 30;
+        let g = chain_with_scratch(n);
         let flow = compile(cfg(2), &g);
-        let err = flow
-            .try_run(|_, t| {
-                if t.id == TaskId(7) {
-                    panic!("kernel exploded");
-                }
-            })
-            .expect_err("the injected panic must abort the run");
-        assert_eq!(err.kind(), "task-panicked");
-        // Same program, fresh run: everything works.
-        let store = DataStore::from_vec(vec![0u64]);
-        let run = flow.run(|_, _| *store.write(DataId(0)) += 1);
-        assert_eq!(run.report.tasks_executed(), 30);
-        assert_eq!(store.into_vec(), vec![30]);
+        for round in 0..3u64 {
+            let err = flow
+                .try_run(|_, t| {
+                    if t.id == TaskId(7 + round) {
+                        panic!("kernel exploded");
+                    }
+                })
+                .expect_err("the injected panic must abort the run");
+            assert_eq!(err.kind(), "task-panicked");
+            // Same program, next run: everything works.
+            let store = DataStore::filled(n + 1, 0u64);
+            let run = flow.run(|_, t| scratch_kernel(&store, t));
+            assert_eq!(run.report.tasks_executed(), n as u64);
+            assert_eq!(store.into_vec(), scratch_sequential(&g), "round {round}");
+        }
     }
 
     #[test]
@@ -924,7 +1006,7 @@ mod tests {
         b.task(&[Access::write(DataId(0))], 1, "w2");
         let g = b.build();
         let flow = compile(cfg(2), &g);
-        // Single-node: one arena in exact flat order.
+        // Single-node: one arena in flow order.
         let expected = &flow.arenas[0].expected;
         // T1's write waits for the initial epoch (no write, no reads).
         assert_eq!(expected[0], pack_epoch(TaskId::NONE, 0));
@@ -943,36 +1025,157 @@ mod tests {
         // 2×2 mock topology, 4 workers: every Run's accesses live in the
         // owning worker's node arena, offsets remapped; the run result is
         // identical to the single-arena layout.
-        let mut b = TaskGraph::builder(4);
-        for i in 0..80u32 {
-            b.task(&[Access::read_write(DataId(i % 4))], 1, "inc");
-        }
-        let g = b.build();
+        let n = 80;
+        let g = chain_with_scratch(n);
         let single = compile(cfg(4), &g);
         assert_eq!(single.arenas.len(), 1, "no topology → one arena");
         let numa = compile(cfg(4).topology(Arc::new(Topology::mock(2, 2))), &g);
         assert_eq!(numa.arenas.len(), 2);
         assert_eq!(numa.node_of_worker, vec![0, 0, 1, 1]);
-        // Arena slices hold exactly the task's accesses, as in the flat
-        // layout, and the expected words match the single-node compile.
-        let flat = g.flat_accesses();
+        // Arena slices, their shared prefixes and their expected words
+        // match the single-node compile, which holds the task's accesses
+        // with the shared one first.
         for (w, prog) in numa.programs.iter().enumerate() {
             let arena = &numa.arenas[numa.node_of_worker[w] as usize];
             for (r, sr) in prog.runs.iter().zip(&single.programs[w].runs) {
                 assert_eq!(r.task, sr.task);
+                assert_eq!(r.synced - r.start, sr.synced - sr.start);
                 let range = r.start as usize..r.end as usize;
                 let srange = sr.start as usize..sr.end as usize;
-                assert_eq!(&arena.accesses[range.clone()], flat.of(r.task as usize));
+                let accesses = &g.tasks()[r.task as usize].accesses;
+                assert_eq!(
+                    &single.arenas[0].accesses[srange.clone()],
+                    &[accesses[1], accesses[0]]
+                );
+                assert_eq!(
+                    &arena.accesses[range.clone()],
+                    &single.arenas[0].accesses[srange.clone()]
+                );
                 assert_eq!(&arena.expected[range], &single.arenas[0].expected[srange]);
             }
         }
         // Both arenas together cover exactly the owned Runs' accesses.
         let total: usize = numa.arenas.iter().map(|a| a.accesses.len()).sum();
-        assert_eq!(total, flat.arena().len());
+        assert_eq!(total, g.total_accesses());
         // And the run produces the same store.
-        let store = DataStore::filled(4, 0u64);
-        numa.run(|_, t| *store.write(t.accesses[0].data) += 1);
-        assert_eq!(store.into_vec(), vec![20; 4]);
+        let store = DataStore::filled(n + 1, 0u64);
+        numa.run(|_, t| scratch_kernel(&store, t));
+        assert_eq!(store.into_vec(), scratch_sequential(&g));
+    }
+
+    /// A read-write chain on D0 in which every task also writes its own
+    /// scratch datum D(1 + i), declared first: D0 is shared by every
+    /// worker, each scratch datum is private to its task's owner.
+    fn chain_with_scratch(n: usize) -> TaskGraph {
+        let mut b = TaskGraph::builder(n + 1);
+        for i in 0..n {
+            b.task(
+                &[
+                    Access::write(DataId::from_index(1 + i)),
+                    Access::read_write(DataId(0)),
+                ],
+                1,
+                "step",
+            );
+        }
+        b.build()
+    }
+
+    /// Stores D0's value into the task's scratch datum, then advances D0.
+    fn scratch_kernel(store: &DataStore<u64>, t: &TaskDesc) {
+        let v = *store.read(DataId(0));
+        *store.write(t.accesses[0].data) = v ^ t.id.0;
+        *store.write(DataId(0)) = v.wrapping_mul(31).wrapping_add(t.id.0);
+    }
+
+    fn scratch_sequential(g: &TaskGraph) -> Vec<u64> {
+        let store = DataStore::filled(g.num_data(), 0u64);
+        rio_stf::sequential::run_graph(g, |id| scratch_kernel(&store, g.task(id)));
+        store.into_vec()
+    }
+
+    #[test]
+    fn mixed_flows_synchronize_exactly_their_shared_accesses() {
+        let n = 30;
+        let g = chain_with_scratch(n);
+        let flow = compile(cfg(2), &g);
+        assert_eq!(flow.stats().private_accesses, n as u64);
+        // The shared access leads every Run's slice, ahead of the scratch
+        // datum declared before it.
+        for prog in &flow.programs {
+            for r in &prog.runs {
+                assert_eq!((r.synced - r.start, r.end - r.start), (1, 2));
+                assert_eq!(flow.arenas[0].accesses[r.start as usize].data, DataId(0));
+            }
+        }
+        let run = flow.run(|_, _| {});
+        for w in &run.report.workers {
+            // One get and one terminate per own task: D0's.
+            assert_eq!(w.tasks_executed, 15);
+            assert_eq!(w.ops.gets, 15, "{}", w.worker);
+            assert_eq!(w.ops.terminates, 15, "{}", w.worker);
+            assert_eq!(w.ops.declares, 0);
+        }
+    }
+
+    #[test]
+    fn stealing_elides_nothing() {
+        // A thief may run any task, so with stealing armed no datum is
+        // private: every access of every task is terminated, exactly as
+        // on the interpreted path. Gets skip only the stolen tasks, whose
+        // thief publishes without acquiring.
+        let n = 30;
+        let g = chain_with_scratch(n);
+        let c = cfg(2).stealing(crate::steal::StealPolicy::new());
+        let flow = compile(c.clone(), &g);
+        assert_eq!(flow.stats().private_accesses, 0);
+        let compiled = flow.run(|_, _| {});
+        let interpreted = Executor::new(c).mapping(&RoundRobin).run(&g, |_, _| {});
+        for run in [&compiled, &interpreted] {
+            let ops = run.report.total_ops();
+            let stolen = run.counters.total().steals;
+            assert_eq!(ops.terminates, 2 * n as u64);
+            assert_eq!(ops.gets + 2 * stolen, 2 * n as u64);
+        }
+    }
+
+    #[test]
+    fn tasks_mixing_private_and_shared_data_stay_sequential() {
+        let n = 60;
+        let g = chain_with_scratch(n);
+        let expected = scratch_sequential(&g);
+        for wait in [
+            WaitStrategy::Spin,
+            WaitStrategy::SpinYield,
+            WaitStrategy::Park,
+        ] {
+            let flow = compile(RioConfig::with_workers(3).wait(wait), &g);
+            let store = DataStore::filled(n + 1, 0u64);
+            flow.run(|_, t| scratch_kernel(&store, t));
+            assert_eq!(store.into_vec(), expected, "strategy {wait}");
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_of_one_program_are_independent() {
+        // Two threads run the same program at once, each on its own
+        // protocol state: both compute the sequential result, run after
+        // run.
+        let n = 200;
+        let g = chain_with_scratch(n);
+        let flow = compile(cfg(2), &g);
+        let expected = scratch_sequential(&g);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        let store = DataStore::filled(n + 1, 0u64);
+                        flow.run(|_, t| scratch_kernel(&store, t));
+                        assert_eq!(store.into_vec(), expected);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -387,24 +387,29 @@ impl<'a> WorkerCtx<'a> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        self.exec_task_inner(kernel, t, accesses, None)
+        self.exec_task_inner(kernel, t, accesses, None, accesses.len())
     }
 
     /// [`WorkerCtx::exec_task`] with the expected epoch words of every
     /// access precomputed (by [`crate::compile`]'s flow simulation):
     /// `pre[i]` is the word access `i` waits for, saving the interpreter's
-    /// per-get pack of the private view.
+    /// per-get pack of the private view. Only `accesses[..synced]` go
+    /// through the protocol: the rest are worker-private data (no other
+    /// worker touches them, see DESIGN.md §9), whose gets would pass at
+    /// their first poll and whose terminates nobody reads. Recovery still
+    /// sees every access.
     pub(crate) fn exec_task_pre<K>(
         &mut self,
         kernel: &K,
         t: &TaskDesc,
         accesses: &[Access],
         pre: &[u64],
+        synced: usize,
     ) -> bool
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        self.exec_task_inner(kernel, t, accesses, Some(pre))
+        self.exec_task_inner(kernel, t, accesses, Some(pre), synced)
     }
 
     fn exec_task_inner<K>(
@@ -413,6 +418,7 @@ impl<'a> WorkerCtx<'a> {
         t: &TaskDesc,
         accesses: &[Access],
         pre: Option<&[u64]>,
+        synced: usize,
     ) -> bool
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
@@ -441,7 +447,7 @@ impl<'a> WorkerCtx<'a> {
         // Acquire every declared access, in declaration order. The
         // waits are pure condition polls (no resource is held), so no
         // acquisition order can deadlock.
-        for (i, a) in accesses.iter().enumerate() {
+        for (i, a) in accesses[..synced].iter().enumerate() {
             self.ops.gets += 1;
             let data = a.data.index();
             let writes = a.mode.writes();
@@ -514,7 +520,7 @@ impl<'a> WorkerCtx<'a> {
         // worker ever stalls on a failure — they observe the poison bits
         // instead (published before these stores, so the Release edge of
         // each terminate carries them).
-        for a in accesses {
+        for a in &accesses[..synced] {
             self.ops.terminates += 1;
             let strategy = self.plan.strategy(a.data.index());
             let s = &self.shared[a.data.index()];

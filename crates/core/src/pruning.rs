@@ -70,6 +70,20 @@ pub(crate) fn worker_data_bitsets(graph: &TaskGraph, owners: &[u32], workers: us
     touched
 }
 
+/// Indices of the set bits of a bitset, ascending.
+pub(crate) fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(word, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
+
 /// Computes each worker's visit list (flow indices, ascending order).
 ///
 /// Exposed separately so callers can amortize the pre-pass over repeated
@@ -101,13 +115,8 @@ where
     let wwords = workers.div_ceil(64);
     let mut watchers: Vec<u64> = vec![0; graph.num_data() * wwords];
     for w in 0..workers {
-        for (word, &bits) in touched[w * words..(w + 1) * words].iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let d = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                watchers[d * wwords + w / 64] |= 1u64 << (w % 64);
-            }
+        for d in set_bits(&touched[w * words..(w + 1) * words]) {
+            watchers[d * wwords + w / 64] |= 1u64 << (w % 64);
         }
     }
 
@@ -125,13 +134,8 @@ where
                 *acc |= watch;
             }
         }
-        for (k, &bits) in visiting.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let w = k * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                lists[w].push(i as u32);
-            }
+        for w in set_bits(&visiting) {
+            lists[w].push(i as u32);
         }
     }
     lists

@@ -25,13 +25,16 @@ pub struct OpCounts {
     /// compiled run ([`crate::compile`]). Always zero on interpreted runs;
     /// compiled runs report syncs here instead of per-access `declares`.
     pub syncs: u64,
-    /// `get_read`/`get_write` calls (local tasks' accesses).
+    /// `get_read`/`get_write` calls (local tasks' accesses). Compiled
+    /// runs count synchronized accesses only: accesses to worker-private
+    /// data run with no get ([`crate::compile`], DESIGN.md §9).
     pub gets: u64,
     /// `get_*` calls that had to wait at least one poll.
     pub waits: u64,
     /// Total polls across all waiting `get_*` calls.
     pub poll_loops: u64,
-    /// `terminate_read`/`terminate_write` calls.
+    /// `terminate_read`/`terminate_write` calls. Compiled runs count
+    /// synchronized accesses only, like `gets`.
     pub terminates: u64,
 }
 

@@ -9,7 +9,8 @@
 //! the `(graph, mapping, workers)` triple into one flat per-worker
 //! instruction stream up front: runs of consecutive non-local tasks
 //! collapse into a single `Sync` delta per touched data object, tasks
-//! nobody here cares about vanish entirely (pruning is subsumed), and
+//! nobody here cares about vanish entirely (pruning is subsumed),
+//! accesses to data only one worker touches skip the protocol, and
 //! preflight validation happens once instead of per run.
 
 use std::time::Instant;
@@ -80,6 +81,10 @@ fn main() {
         stats.folded_declares,
         stats.coalesce_factor(),
         stats.irrelevant_declares,
+    );
+    println!(
+        "  {} accesses to worker-private data run with no get and no terminate",
+        stats.private_accesses,
     );
 
     // Steady state: run the same program many times (fresh protocol

@@ -4,7 +4,9 @@
 //! `Executor::run` — same per-worker kernel invocation orders, same
 //! final store contents — and both must equal the sequential oracle.
 //! Coalescing only changes *how* private state is updated between a
-//! worker's own tasks, never which tasks run where in what order.
+//! worker's own tasks, never which tasks run where in what order; the
+//! accesses compiled out of the protocol (worker-private data) change
+//! neither.
 
 use proptest::prelude::*;
 use rio::core::{Executor, RioConfig, WaitStrategy};
@@ -112,8 +114,77 @@ fn observe(
     )
 }
 
+/// `graph` with scratch data added under `mapping`: per the bits of
+/// `picks[i]`, task `i` also read-writes its owner's scratch datum and
+/// writes a scratch datum of its own, declared before its other accesses
+/// or after them. Both kinds are touched by one worker only, so they are
+/// worker-private, and the tasks mix private and shared accesses.
+fn with_scratch(
+    graph: &TaskGraph,
+    mapping: &TableMapping,
+    workers: usize,
+    picks: &[u8],
+) -> TaskGraph {
+    use rio::stf::Mapping;
+    let base = graph.num_data();
+    let mut b = TaskGraph::builder(base + workers + graph.len());
+    for (i, t) in graph.tasks().iter().enumerate() {
+        let pick = picks[i % picks.len()];
+        let owner = mapping.worker_of(t.id, workers).index();
+        let mut scratch = Vec::new();
+        if pick & 1 != 0 {
+            scratch.push(Access::read_write(DataId::from_index(base + owner)));
+        }
+        if pick & 2 != 0 {
+            scratch.push(Access::write(DataId::from_index(base + workers + i)));
+        }
+        let accesses: Vec<Access> = if pick & 4 != 0 {
+            scratch.iter().chain(&t.accesses).copied().collect()
+        } else {
+            t.accesses.iter().chain(&scratch).copied().collect()
+        };
+        b.task(&accesses, 1, "prop");
+    }
+    b.build()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Worker-private data: on flows where part of the data is touched by
+    /// one worker only under the drawn mapping — including tasks that mix
+    /// private and shared accesses — the compiled path, which skips the
+    /// protocol on those accesses, agrees with the interpreted path on
+    /// per-worker kernel orders and the final store, under every wait
+    /// strategy, and both match the oracle.
+    #[test]
+    fn compiled_matches_interpreted_with_private_data(
+        graph in arb_graph(40, 3),
+        workers in 1usize..5,
+        map_seed in 0u64..1000,
+        picks in proptest::collection::vec(0u8..8, 1..16),
+    ) {
+        let mapping = arb_table_mapping(graph.len(), workers, map_seed);
+        let graph = with_scratch(&graph, &mapping, workers, &picks);
+        // Every task-own scratch datum is private, whatever the mapping.
+        let own_scratch = (0..graph.len()).filter(|i| picks[i % picks.len()] & 2 != 0).count();
+        let stats = Executor::new(RioConfig::with_workers(workers))
+            .mapping(&mapping)
+            .compile(&graph)
+            .stats()
+            .clone();
+        prop_assert!(stats.private_accesses >= own_scratch as u64);
+        let oracle = run_sequential(&graph);
+        for wait in WAITS {
+            let cfg = RioConfig::with_workers(workers).wait(wait);
+            let (interp_store, interp_orders) = observe(&graph, &cfg, &mapping, false);
+            let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
+            prop_assert_eq!(&comp_orders, &interp_orders,
+                "per-worker kernel invocation orders diverged under {}", wait);
+            prop_assert_eq!(&comp_store, &interp_store, "store diverged under {}", wait);
+            prop_assert_eq!(&comp_store, &oracle, "oracle mismatch under {}", wait);
+        }
+    }
 
     /// The tentpole equivalence: compiled and interpreted runs agree on
     /// per-worker kernel invocation orders and final store contents —

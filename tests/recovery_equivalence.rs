@@ -160,6 +160,74 @@ fn observe_healthy(graph: &TaskGraph, cfg: &RioConfig, mapping: &TableMapping) -
     store.into_vec()
 }
 
+/// `graph` plus, for every task whose `picks` bit is set, a read-write
+/// of its owner's scratch datum: data touched by one worker only, which
+/// the compiled path runs outside the protocol.
+fn with_worker_scratch(
+    graph: &TaskGraph,
+    mapping: &TableMapping,
+    workers: usize,
+    picks: &[u8],
+) -> TaskGraph {
+    use rio::stf::Mapping;
+    let base = graph.num_data();
+    let mut b = TaskGraph::builder(base + workers);
+    for (i, t) in graph.tasks().iter().enumerate() {
+        let mut accesses = t.accesses.clone();
+        if picks[i % picks.len()] != 0 {
+            let owner = mapping.worker_of(t.id, workers).index();
+            accesses.insert(0, Access::read_write(DataId::from_index(base + owner)));
+        }
+        b.task(&accesses, 1, "prop");
+    }
+    b.build()
+}
+
+/// A failed task that writes a worker-private datum poisons it for its
+/// own worker's later readers exactly as on the interpreted path, where
+/// every access goes through the protocol: the skipped cone, the poisoned
+/// set and the store are the same.
+#[test]
+fn a_failure_on_private_data_degrades_like_the_interpreted_path() {
+    let (t, d) = (TaskId::from_index, DataId);
+    // D0 is shared by both workers; D1 is private to W0, D2 to W1.
+    let mut b = TaskGraph::builder(3);
+    b.task(
+        &[Access::write(d(1)), Access::read_write(d(0))],
+        1,
+        "victim",
+    ); // W0
+    b.task(&[Access::read_write(d(2))], 1, "healthy"); // W1
+    b.task(&[Access::read(d(1))], 1, "private-reader"); // W0
+    b.task(
+        &[Access::read(d(0)), Access::read_write(d(2))],
+        1,
+        "shared-reader",
+    ); // W1
+    b.task(&[Access::read_write(d(1))], 1, "private-reader"); // W0
+    b.task(&[Access::read(d(2))], 1, "private-reader"); // W1
+    let graph = b.build();
+    let mapping = TableMapping::from_fn(graph.len(), |i| WorkerId(i as u32 % 2));
+    let compiled = Executor::new(RioConfig::with_workers(2))
+        .mapping(&mapping)
+        .compile(&graph);
+    assert_eq!(compiled.stats().private_accesses, 6);
+    for wait in WAITS {
+        let cfg = RioConfig::with_workers(2)
+            .wait(wait)
+            .recovery(RecoveryPolicy::no_retries());
+        let interpreted = observe_degraded(&graph, &cfg, &mapping, t(0), Path::Interpreted);
+        let compiled = observe_degraded(&graph, &cfg, &mapping, t(0), Path::Compiled);
+        assert_eq!(compiled, interpreted, "under {wait:?}");
+        // The victim's same-worker readers of D1 are skipped, and so is
+        // the cone it reaches through D0.
+        let (failed, poisoned, skipped) = compiled.1;
+        assert_eq!(failed, vec![(t(0), 0)]);
+        assert_eq!(poisoned, vec![d(0), d(1), d(2)]);
+        assert_eq!(skipped, vec![t(2), t(3), t(4), t(5)]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -219,6 +287,35 @@ proptest! {
     ) {
         let victim = TaskId::from_index(victim_seed % graph.len());
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
+        let cfg = RioConfig::with_workers(workers)
+            .wait(WAITS[wait_idx])
+            .recovery(RecoveryPolicy::no_retries());
+        let (ref_store, ref_fp) =
+            observe_degraded(&graph, &cfg, &mapping, victim, Path::Interpreted);
+        for path in PATHS {
+            let (store, fp) = observe_degraded(&graph, &cfg, &mapping, victim, path);
+            prop_assert_eq!(&fp, &ref_fp,
+                "{:?} degraded differently from Interpreted", path);
+            prop_assert_eq!(&store, &ref_store,
+                "{:?} left a different store from Interpreted", path);
+        }
+    }
+
+    /// With part of the data private to one worker — accesses the
+    /// compiled path runs outside the protocol — every path still
+    /// degrades exactly like the interpreted one.
+    #[test]
+    fn paths_degrade_identically_with_private_data(
+        graph in arb_graph(30, 3),
+        workers in 1usize..4,
+        map_seed in 0u64..1000,
+        victim_seed in 0usize..1000,
+        picks in proptest::collection::vec(0u8..2, 1..8),
+        wait_idx in 0usize..3,
+    ) {
+        let victim = TaskId::from_index(victim_seed % graph.len());
+        let mapping = arb_table_mapping(graph.len(), workers, map_seed);
+        let graph = with_worker_scratch(&graph, &mapping, workers, &picks);
         let cfg = RioConfig::with_workers(workers)
             .wait(WAITS[wait_idx])
             .recovery(RecoveryPolicy::no_retries());

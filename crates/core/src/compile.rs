@@ -76,20 +76,16 @@
 //! assert_eq!(store.into_vec(), vec![300]);
 //! ```
 
-use std::time::Instant;
-
 use rio_stf::{ExecError, Mapping, TaskDesc, TaskGraph, WorkerId};
 
 use crate::config::RioConfig;
 use crate::executor::Execution;
-use crate::graph::WorkerCtx;
+use crate::graph::{run_workers, WorkerCtx};
 use crate::protocol::{
-    declare_read, declare_write, expected_read_word, expected_write_word, AbortFlag,
-    LocalDataState, SharedDataState, SyncDelta,
+    declare_read, declare_write, expected_read_word, expected_write_word, LocalDataState, SyncDelta,
 };
 use crate::pruning::set_bits;
-use crate::report::ExecReport;
-use crate::status::StatusTable;
+use crate::steal::{ClaimTable, Cursor, ScanSource, StealState};
 
 /// Tag bit of one code word: set → `Sync` instruction, clear → `Run`.
 /// Crate-visible: the steal layer decodes victim programs directly.
@@ -487,153 +483,52 @@ impl<'g> CompiledFlow<'g> {
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
         let cfg = &self.cfg;
-        let shared = SharedDataState::new_table(self.table_len);
-        let shared = &shared;
-        let kernel = &kernel;
-        let abort = &AbortFlag::new();
-        let status = &StatusTable::new(cfg.workers);
-        let registry = crate::counters::CounterRegistry::for_run(cfg);
-        let registry = registry.as_deref();
-        let flight = crate::flight::FlightRecorder::for_run(cfg);
-        let flight = flight.as_ref();
-        let recovery = cfg
-            .recovery
-            .clone()
-            .map(|p| crate::protocol::RecoveryCtx::new(p, self.graph.num_data()));
-        let rec = recovery.as_ref();
         // Per-run steal state: a claim slot per task plus one published
         // instruction cursor per worker (thieves scan victims' remaining
         // code from there). All per-run, so the program stays reusable.
-        let steal_claims = cfg
-            .stealing
-            .as_ref()
-            .map(|_| crate::steal::ClaimTable::new(self.graph.len()));
-        let steal_epoch = steal_claims
-            .as_ref()
-            .map_or(0, crate::steal::ClaimTable::begin_run);
-        let steal_cursors = cfg
-            .stealing
-            .as_ref()
-            .map(|_| crate::steal::Cursor::new_table(cfg.workers));
-        let steal_claims = steal_claims.as_ref();
-        let steal_cursors = steal_cursors.as_deref();
-
-        let start = Instant::now();
-        let workers = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    let prog = &self.programs[w];
-                    s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        let steal = match (cfg.stealing.as_ref(), steal_claims, steal_cursors) {
-                            (Some(policy), Some(claims), Some(cursors)) => {
-                                Some(crate::steal::StealState {
-                                    policy,
-                                    claims,
-                                    epoch: steal_epoch,
-                                    scan: crate::steal::ScanSource::Compiled {
-                                        tasks: self.graph.tasks(),
-                                        arenas: &self.arenas,
-                                        nodes: &self.node_of_worker,
-                                        programs: &self.programs,
-                                        cursors,
-                                    },
-                                })
-                            }
-                            _ => None,
-                        };
-                        self.run_program(
-                            prog, shared, kernel, me, abort, status, start, registry, flight, rec,
-                            steal,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
+        let steal = cfg.stealing.as_ref().map(|policy| {
+            let claims = ClaimTable::new(self.graph.len());
+            let epoch = claims.begin_run();
+            (policy, claims, epoch, Cursor::new_table(cfg.workers))
         });
-        if let Some(cause) = abort.take_cause() {
-            return Err(cause.into_error());
-        }
-        let mut run = Execution {
-            report: ExecReport {
-                wall: start.elapsed(),
-                workers,
-                counters: registry
-                    .map(|r| r.snapshot().with_topology(cfg))
-                    .unwrap_or_default(),
-            },
-            outcome: recovery
-                .and_then(crate::protocol::RecoveryCtx::into_report)
-                .map(|mut p| {
-                    // Workers joined: the dump is exact recording order.
-                    if let Some(f) = flight {
-                        p.flight = f.dump();
-                    }
-                    p
-                })
-                .into(),
-            ..Execution::default()
-        };
-        run.counters = run.report.counters.clone();
-        run.trace = run.report.take_trace();
-        if let (Some(trace), Some(path)) = (
-            run.trace.as_ref(),
-            cfg.trace.as_ref().and_then(|t| t.chrome_path.as_ref()),
-        ) {
-            trace
-                .write_chrome(path)
-                .unwrap_or_else(|e| panic!("cannot write Chrome trace to {}: {e}", path.display()));
-        }
-        Ok(run)
+        let (report, partial, _) =
+            run_workers(cfg, self.table_len, self.graph.num_data(), |env, me| {
+                let mut ctx = env.worker(me);
+                if let Some((policy, claims, epoch, cursors)) = &steal {
+                    ctx.steal = Some(StealState {
+                        policy,
+                        claims,
+                        epoch: *epoch,
+                        kernel: &kernel,
+                        scan: ScanSource::Compiled {
+                            tasks: self.graph.tasks(),
+                            arenas: &self.arenas,
+                            nodes: &self.node_of_worker,
+                            programs: &self.programs,
+                            cursors,
+                        },
+                    });
+                }
+                (self.run_program(ctx, &kernel), ())
+            })?;
+        Ok(Execution::assemble(cfg, report, partial))
     }
 
-    /// One worker's interpreter: a linear walk of the code stream through
+    /// One worker's interpreter: a linear walk of its code stream through
     /// the shared [`WorkerCtx`] engine. `tasks_visited` counts `Run`
     /// instructions (own tasks); `ops.syncs` counts applied deltas.
-    #[allow(clippy::too_many_arguments)]
-    fn run_program<K>(
-        &self,
-        prog: &WorkerProgram,
-        shared: &[SharedDataState],
-        kernel: &K,
-        me: WorkerId,
-        abort: &AbortFlag,
-        status: &StatusTable,
-        epoch: Instant,
-        registry: Option<&crate::counters::CounterRegistry>,
-        flight: Option<&crate::flight::FlightRecorder>,
-        rec: Option<&crate::protocol::RecoveryCtx>,
-        steal: Option<crate::steal::StealState<'_>>,
-    ) -> crate::report::WorkerReport
+    fn run_program<K>(&self, mut ctx: WorkerCtx<'_>, kernel: &K) -> crate::report::WorkerReport
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        // Bind this thread to its node's parking shard (and optionally
-        // its core) before any protocol traffic.
-        crate::topo::enter_worker(&self.cfg, me.index());
+        let me = ctx.me.index();
+        let prog = &self.programs[me];
         let tasks = self.graph.tasks();
-        let arena = &self.arenas[self.node_of_worker[me.index()] as usize];
-        let mut ctx = WorkerCtx::new(
-            &self.cfg,
-            self.table_len,
-            shared,
-            me,
-            abort,
-            status,
-            epoch,
-            registry,
-            flight,
-            rec,
-        );
-        ctx.steal = steal;
-        let cursor = steal.and_then(|st| match st.scan {
-            crate::steal::ScanSource::Compiled { cursors, .. } => Some(&cursors[me.index()].0),
+        let arena = &self.arenas[self.node_of_worker[me] as usize];
+        let cursor = ctx.steal.and_then(|st| match st.scan {
+            ScanSource::Compiled { cursors, .. } => Some(&cursors[me].0),
             _ => None,
         });
-        let loop_clock = crate::clock::LoopClock::start();
         for (pc, &code) in prog.code.iter().enumerate() {
             if code & SYNC_BIT != 0 {
                 let s = &prog.syncs[(code & !SYNC_BIT) as usize];
@@ -670,7 +565,7 @@ impl<'g> CompiledFlow<'g> {
         if let Some(c) = cursor {
             c.store(prog.code.len(), std::sync::atomic::Ordering::Relaxed);
         }
-        ctx.finish(loop_clock.stop())
+        ctx.finish()
     }
 }
 

@@ -204,9 +204,11 @@ pub struct RioConfig {
     /// and claims one through a per-task CAS slot, executing it in place
     /// while the owner skips-but-syncs (see [`crate::steal`] and
     /// DESIGN.md §14). `None` (the default) keeps the static mapping
-    /// exact. Honoured by the interpreted and compiled paths; the pruned
-    /// and hybrid walkers ignore it. The armed-but-idle cost is one claim
-    /// CAS per owned task (gated ≤2% by `repro steal`).
+    /// exact. Honoured by the interpreted and compiled paths; the pruned,
+    /// hybrid, flow-API and reduction paths reject it before any worker
+    /// spawns with [`rio_stf::ExecError::UnsupportedOption`]. The
+    /// armed-but-idle cost is one claim CAS per owned task (gated ≤2% by
+    /// `repro steal`).
     pub stealing: Option<StealPolicy>,
     /// External [`CounterRegistry`] for the run to publish into, enabling
     /// mid-run sampling from a monitoring thread. `None` (the default):

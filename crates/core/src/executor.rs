@@ -124,6 +124,37 @@ pub struct Execution {
     pub trace: Option<Trace>,
 }
 
+impl Execution {
+    /// Wraps a finished run's report and partial report: the counters
+    /// snapshot is copied out and the trace moved out of the report, and
+    /// the Chrome trace is written when `cfg` names a path.
+    ///
+    /// # Panics
+    /// If the Chrome-trace file cannot be written.
+    pub(crate) fn assemble(
+        cfg: &RioConfig,
+        mut report: ExecReport,
+        partial: Option<rio_stf::PartialReport>,
+    ) -> Execution {
+        let trace = report.take_trace();
+        if let (Some(trace), Some(path)) = (
+            trace.as_ref(),
+            cfg.trace.as_ref().and_then(|t| t.chrome_path.as_ref()),
+        ) {
+            trace
+                .write_chrome(path)
+                .unwrap_or_else(|e| panic!("cannot write Chrome trace to {}: {e}", path.display()));
+        }
+        Execution {
+            counters: report.counters.clone(),
+            report,
+            outcome: partial.into(),
+            trace,
+            ..Execution::default()
+        }
+    }
+}
+
 impl<'a> Executor<'a> {
     /// An executor with the given configuration and defaults elsewhere:
     /// [`RoundRobin`] mapping, no pruning, no tracing.
@@ -249,7 +280,9 @@ impl<'a> Executor<'a> {
     ///   counters and every worker's progress;
     /// * a mapping failing pre-flight validation
     ///   ([`RioConfig::preflight`], on by default) ⇒
-    ///   [`ExecError::InvalidMapping`] before any worker is spawned.
+    ///   [`ExecError::InvalidMapping`] before any worker is spawned;
+    /// * a [`RioConfig::stealing`] policy on a pruned or hybrid run ⇒
+    ///   [`ExecError::UnsupportedOption`] before any worker is spawned.
     ///
     /// # Errors
     /// See [`ExecError`] for the exact post-abort state guarantees.
@@ -257,46 +290,26 @@ impl<'a> Executor<'a> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        let mut run = if let Some(partial) = self.partial {
+        let cfg = &self.cfg;
+        let mapping: &dyn Mapping = self.mapping.unwrap_or(&RoundRobin);
+        Ok(if let Some(partial) = self.partial {
             let (report, stats, degraded) =
-                try_execute_graph_hybrid_impl(&self.cfg, graph, partial, kernel)?;
+                try_execute_graph_hybrid_impl(cfg, graph, partial, kernel)?;
             Execution {
-                report,
-                outcome: degraded.into(),
                 hybrid: Some(stats),
-                ..Execution::default()
+                ..Execution::assemble(cfg, report, degraded)
+            }
+        } else if self.pruning {
+            let (report, stats, degraded) =
+                try_execute_graph_pruned_impl(cfg, graph, mapping, kernel)?;
+            Execution {
+                prune: Some(stats),
+                ..Execution::assemble(cfg, report, degraded)
             }
         } else {
-            let mapping: &dyn Mapping = self.mapping.unwrap_or(&RoundRobin);
-            if self.pruning {
-                let (report, stats, degraded) =
-                    try_execute_graph_pruned_impl(&self.cfg, graph, mapping, kernel)?;
-                Execution {
-                    report,
-                    outcome: degraded.into(),
-                    prune: Some(stats),
-                    ..Execution::default()
-                }
-            } else {
-                let (report, degraded) = try_execute_graph_impl(&self.cfg, graph, mapping, kernel)?;
-                Execution {
-                    report,
-                    outcome: degraded.into(),
-                    ..Execution::default()
-                }
-            }
-        };
-        run.counters = run.report.counters.clone();
-        run.trace = run.report.take_trace();
-        if let (Some(trace), Some(path)) = (
-            run.trace.as_ref(),
-            self.cfg.trace.as_ref().and_then(|t| t.chrome_path.as_ref()),
-        ) {
-            trace
-                .write_chrome(path)
-                .unwrap_or_else(|e| panic!("cannot write Chrome trace to {}: {e}", path.display()));
-        }
-        Ok(run)
+            let (report, degraded) = try_execute_graph_impl(cfg, graph, mapping, kernel)?;
+            Execution::assemble(cfg, report, degraded)
+        })
     }
 
     /// Diagnoses a finished `run` of `graph` into a [`TuningPlan`]:

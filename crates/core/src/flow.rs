@@ -41,24 +41,13 @@
 //! replay). With [`RioConfig::check_determinism`] enabled the runtime
 //! verifies this by comparing per-worker flow checksums at join time.
 
-use std::time::{Duration, Instant};
-
 use rio_stf::store::{ReadGuard, WriteGuard};
-use rio_stf::{Access, DataId, DataStore, ExecError, FlightEventKind, Mapping, TaskId, WorkerId};
+use rio_stf::{Access, DataId, DataStore, ExecError, Mapping, TaskId, WorkerId};
 
-use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
 use crate::executor::RunOutcome;
-use crate::graph::stall_diagnostic;
-use crate::protocol::{
-    declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
-    get_write_word_cx, terminate_read, terminate_write, AbortCause, AbortFlag, LocalDataState,
-    RecoveryCtx, SharedDataState, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
-};
-use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::status::StatusTable;
-use crate::trace_api::WorkerTracer;
-use crate::wait::WaitPlan;
+use crate::graph::{abandon_flow, reject_stealing, run_workers, WorkerCtx};
+use crate::report::ExecReport;
 
 /// The RIO runtime handle for the typed flow API.
 #[derive(Debug, Clone)]
@@ -108,8 +97,11 @@ impl Rio {
     /// structured [`ExecError`] instead of panicking: a task-body panic
     /// becomes [`ExecError::TaskPanicked`] (original payload attached) and
     /// a watchdog timeout ([`RioConfig::watchdog`]) becomes
-    /// [`ExecError::Stalled`]. Panics outside task bodies — in the flow
-    /// closure itself, or the determinism check — still propagate.
+    /// [`ExecError::Stalled`], and a [`RioConfig::stealing`] policy, which
+    /// a replayed flow cannot honour (it has no task list to scan ahead
+    /// in), becomes [`ExecError::UnsupportedOption`] before any worker
+    /// spawns. Panics outside task bodies — in the flow closure itself, or
+    /// the determinism check — still propagate.
     ///
     /// # Errors
     /// See [`ExecError`] for the post-abort state guarantees.
@@ -156,144 +148,38 @@ impl Rio {
         F: Fn(&mut FlowCtx<'_, T>) + Sync,
     {
         let cfg = &self.cfg;
+        reject_stealing(cfg, "flow API")?;
         let mapping: &dyn Mapping = mapping;
-        let shared = SharedDataState::new_table(store.len());
-        let shared = &shared;
-        let flow = &flow;
-        let abort = &AbortFlag::new();
-        let status = &StatusTable::new(cfg.workers);
-        let registry = crate::counters::CounterRegistry::for_run(cfg);
-        let registry = registry.as_deref();
-        let flight = crate::flight::FlightRecorder::for_run(cfg);
-        let flight = flight.as_ref();
-        let recovery = cfg
-            .recovery
-            .clone()
-            .map(|p| RecoveryCtx::new(p, store.len()));
-        let rec = recovery.as_ref();
-
-        let start = Instant::now();
-        let joined: Vec<std::thread::Result<(WorkerReport, u64)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        let mut ctx = FlowCtx {
-                            me,
-                            num_workers: cfg.workers,
-                            plan: WaitPlan::of(cfg),
-                            watchdog: cfg.watchdog,
-                            measure: cfg.measure_time,
-                            record_spans: cfg.record_spans,
-                            mapping,
-                            shared,
-                            locals: vec![LocalDataState::default(); store.len()],
-                            store,
-                            next_task: TaskId::FIRST,
-                            ops: OpCounts::default(),
-                            clock: TaskClock::new(
-                                cfg.measure_time,
-                                cfg.record_spans || cfg.trace.is_some(),
-                            ),
-                            idle_time: Duration::ZERO,
-                            tasks_executed: 0,
-                            checksum: FNV_OFFSET,
-                            abort,
-                            status,
-                            epoch: start,
-                            spans: Vec::new(),
-                            tracer: cfg
-                                .trace
-                                .as_ref()
-                                .map(|tc| WorkerTracer::new(tc, w as u32, start)),
-                            ctr: registry.map(|r| r.worker(w)),
-                            registry,
-                            ring: flight.map(|f| f.ring(w)),
-                            flight,
-                            rec,
-                        };
-                        let loop_clock = LoopClock::start();
-                        flow(&mut ctx);
-                        let lp = loop_clock.stop();
-                        let loop_time = lp.time;
-                        // Dynamic bodies are never retried, so no failure
-                        // is ever timed as retry time here.
-                        let (task_time, _) = ctx.clock.finish(lp, ctx.idle_time);
-                        let trace = ctx.tracer.map(|tr| {
-                            let mut wt = tr.finish();
-                            wt.declares = ctx.ops.declares;
-                            wt.gets = ctx.ops.gets;
-                            wt.terminates = ctx.ops.terminates;
-                            wt.loop_ns = loop_time.as_nanos() as u64;
-                            wt
-                        });
-                        let report = WorkerReport {
-                            worker: me,
-                            tasks_executed: ctx.tasks_executed,
-                            tasks_visited: ctx.next_task.0 - 1,
-                            task_time,
-                            idle_time: ctx.idle_time,
-                            loop_time,
-                            ops: ctx.ops,
-                            spans: ctx.spans,
-                            trace,
-                        };
-                        (report, ctx.checksum)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let wall = start.elapsed();
-
-        // A contained failure (task-body panic, watchdog stall) aborts the
-        // whole run: surface the recorded first cause as a structured error
-        // and discard the secondary "poisoned" unwinds of the workers.
-        if let Some(cause) = abort.take_cause() {
-            return Err(cause.into_error());
-        }
-        let workers: Vec<(WorkerReport, u64)> = joined
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect();
+        let (report, partial, sums) = run_workers(cfg, store.len(), store.len(), |env, me| {
+            let mut ctx = FlowCtx {
+                mapping,
+                store,
+                next_task: TaskId::FIRST,
+                checksum: FNV_OFFSET,
+                cx: env.worker(me),
+            };
+            flow(&mut ctx);
+            (ctx.cx.finish(), ctx.checksum)
+        })?;
 
         if cfg.check_determinism {
-            let (first_report, first_sum) = &workers[0];
-            for (r, sum) in &workers[1..] {
+            let first = (&report.workers[0], sums[0]);
+            for (r, &sum) in report.workers.iter().zip(&sums).skip(1) {
                 assert!(
-                    r.tasks_visited == first_report.tasks_visited && sum == first_sum,
+                    r.tasks_visited == first.0.tasks_visited && sum == first.1,
                     "non-deterministic flow: {} visited {} tasks (checksum {:#x}), \
                      {} visited {} (checksum {:#x}); every worker must unroll the \
                      same task sequence",
-                    first_report.worker,
-                    first_report.tasks_visited,
-                    first_sum,
+                    first.0.worker,
+                    first.0.tasks_visited,
+                    first.1,
                     r.worker,
                     r.tasks_visited,
                     sum,
                 );
             }
         }
-
-        Ok((
-            ExecReport {
-                wall,
-                workers: workers.into_iter().map(|(r, _)| r).collect(),
-                counters: registry
-                    .map(|r| r.snapshot().with_topology(cfg))
-                    .unwrap_or_default(),
-            },
-            recovery
-                .and_then(RecoveryCtx::into_report)
-                .map(|mut p| {
-                    // Workers joined: the dump is exact recording order.
-                    if let Some(f) = flight {
-                        p.flight = f.dump();
-                    }
-                    p
-                })
-                .into(),
-        ))
+        Ok((report, partial.into()))
     }
 }
 
@@ -308,137 +194,30 @@ fn fnv_fold(hash: u64, value: u64) -> u64 {
 /// Per-worker replay context handed to the flow closure.
 ///
 /// All workers hold one; calling [`FlowCtx::task`] *submits* the task on
-/// every worker but *executes* it only on the mapped one.
+/// every worker but *executes* it only on the mapped one, through the
+/// same engine as every other path.
 pub struct FlowCtx<'a, T> {
-    me: WorkerId,
-    num_workers: usize,
-    /// Every object's wait policy, for waits and terminates alike.
-    plan: WaitPlan<'a>,
-    watchdog: Option<Duration>,
-    measure: bool,
-    record_spans: bool,
     mapping: &'a (dyn Mapping + 'a),
-    shared: &'a [SharedDataState],
-    locals: Vec<LocalDataState>,
     store: &'a DataStore<T>,
     next_task: TaskId,
-    ops: OpCounts,
-    clock: TaskClock,
-    idle_time: Duration,
-    tasks_executed: u64,
     checksum: u64,
-    abort: &'a AbortFlag,
-    status: &'a StatusTable,
-    epoch: Instant,
-    spans: Vec<rio_stf::validate::Span>,
-    tracer: Option<WorkerTracer>,
-    ctr: Option<&'a crate::counters::WorkerCounters>,
-    registry: Option<&'a crate::counters::CounterRegistry>,
-    ring: Option<&'a crate::flight::FlightRing>,
-    flight: Option<&'a crate::flight::FlightRecorder>,
-    rec: Option<&'a RecoveryCtx>,
+    cx: WorkerCtx<'a>,
 }
 
 impl<'a, T> FlowCtx<'a, T> {
     /// The worker replaying this flow instance.
     pub fn worker(&self) -> WorkerId {
-        self.me
+        self.cx.me
     }
 
     /// Total number of workers.
     pub fn num_workers(&self) -> usize {
-        self.num_workers
+        self.cx.env.cfg.workers
     }
 
     /// Id the *next* submitted task will receive.
     pub fn next_task_id(&self) -> TaskId {
         self.next_task
-    }
-
-    /// Appends one event to this worker's flight ring (no-op with the
-    /// recorder disabled).
-    #[inline]
-    fn flight_event(&self, kind: FlightEventKind, task: TaskId, data: Option<DataId>) {
-        if let Some(r) = self.ring {
-            r.record(kind, task, data);
-        }
-    }
-
-    /// The rest of a get whose first poll failed: the wait itself, under
-    /// the watchdog's status entry and the idle clock, then its counters,
-    /// trace event and verdict. Panics when the run aborted or this wait
-    /// diagnosed a stall.
-    #[inline(never)]
-    fn wait_get(&mut self, id: TaskId, a: &Access, expected: u64) {
-        let s = &self.shared[a.data.index()];
-        let writes = a.mode.writes();
-        let wd = self.watchdog.is_some();
-        let cx = self.plan.cx(a.data.index(), self.watchdog, self.abort);
-        let wait_start = (self.measure || self.tracer.is_some() || wd).then(Instant::now);
-        if wd {
-            self.status.begin_wait(self.me, a.data);
-        }
-        let wr = if writes {
-            get_write_word_cx(s, expected, &cx)
-        } else {
-            get_read_word_cx(s, expected, &cx)
-        };
-        if wd {
-            self.status.end_wait(self.me);
-        }
-        let wo = wr.outcome;
-        if wo.polls > 0 {
-            self.ops.waits += 1;
-            self.ops.poll_loops += wo.polls;
-            if let Some(c) = self.ctr {
-                c.add_spins(wo.polls);
-                c.add_parks(wo.parks);
-            }
-            if wo.parks > 0 {
-                self.flight_event(FlightEventKind::Park, id, Some(a.data));
-            }
-            if let Some(t0) = wait_start {
-                let t1 = Instant::now();
-                if self.measure {
-                    self.idle_time += t1.duration_since(t0);
-                }
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.wait(id, a.data, writes, t0, t1, wo.polls, wo.parks);
-                }
-            }
-        }
-        match wr.verdict {
-            WaitVerdict::Ready => {}
-            WaitVerdict::Aborted => {
-                panic!("RIO run poisoned: a sibling worker's task body panicked")
-            }
-            WaitVerdict::DeadlineExceeded => {
-                let waited = wait_start
-                    .map(|t0| t0.elapsed())
-                    .or(self.watchdog)
-                    .unwrap_or_default();
-                self.flight_event(FlightEventKind::Abort, id, Some(a.data));
-                let diag = stall_diagnostic(
-                    self.me,
-                    id,
-                    a,
-                    &self.locals[a.data.index()],
-                    s,
-                    waited,
-                    self.status,
-                    self.registry,
-                    self.flight,
-                );
-                if let Some(c) = self.ctr {
-                    c.inc_aborts();
-                }
-                self.abort.abort(AbortCause::Stall(diag), self.shared);
-                panic!(
-                    "RIO run stalled: {id} waited past the watchdog deadline on {}",
-                    a.data
-                );
-            }
-        }
     }
 
     /// Submits the next task of the flow.
@@ -467,141 +246,23 @@ impl<'a, T> FlowCtx<'a, T> {
         }
         self.checksum = sum;
 
-        let executor = self.mapping.worker_of(id, self.num_workers);
+        let workers = self.num_workers();
+        let executor = self.mapping.worker_of(id, workers);
         assert!(
-            executor.index() < self.num_workers,
+            executor.index() < workers,
             "mapping sent {id} to non-existent {executor}"
         );
-        if self.abort.armed() {
-            panic!("RIO run poisoned: a sibling worker's task body panicked");
-        }
-
-        if executor == self.me {
-            for a in accesses {
-                self.ops.gets += 1;
-                let l = &self.locals[a.data.index()];
-                let (expected, mask) = if a.mode.writes() {
-                    (expected_write_word(l), WRITE_EPOCH_MASK)
-                } else {
-                    (expected_read_word(l), READ_EPOCH_MASK)
-                };
-                // Poll first: a ready get takes no clock and no status
-                // write.
-                if !self.shared[a.data.index()].satisfied(expected, mask) {
-                    self.wait_get(id, a, expected);
-                }
-            }
-
-            // Degraded mode: a poisoned input means the body is skipped
-            // outright (the gets above admitted every access, so upstream
-            // poison is visible here).
-            self.flight_event(FlightEventKind::TaskStart, id, None);
-            let skip = self
-                .rec
-                .is_some_and(|rec| accesses.iter().any(|a| rec.is_poisoned(a.data)));
-            let ran = if skip {
-                let rec = self.rec.unwrap();
-                rec.record_skipped(id);
-                crate::graph::poison_writes(rec, id, accesses, self.ctr, self.ring);
-                false
-            } else {
-                let view = TaskView {
-                    accesses,
-                    store: self.store,
-                };
-                let run = std::panic::AssertUnwindSafe(|| body(&view));
-                let start = self.clock.start();
-                let outcome = std::panic::catch_unwind(run);
-                let span = self.clock.stop(start);
-                match outcome {
-                    Err(payload) => match self.rec {
-                        Some(rec) => {
-                            // A dynamic body is `FnOnce` — it cannot be
-                            // replayed, so the retry budget does not apply
-                            // here: the first panic fails the task
-                            // permanently (see `try_run_with_outcome`).
-                            rec.record_failed(rio_stf::FailedTask {
-                                task: id,
-                                worker: self.me,
-                                retries: 0,
-                                detail: rio_stf::FailureDetail::TaskFailed { payload },
-                            });
-                            crate::graph::poison_writes(rec, id, accesses, self.ctr, self.ring);
-                            false
-                        }
-                        None => {
-                            self.flight_event(FlightEventKind::Abort, id, None);
-                            if let Some(c) = self.ctr {
-                                c.inc_aborts();
-                            }
-                            self.abort.abort(
-                                AbortCause::Panic {
-                                    task: id,
-                                    worker: self.me,
-                                    payload,
-                                },
-                                self.shared,
-                            );
-                            panic!("RIO run poisoned: this worker's task body panicked");
-                        }
-                    },
-                    Ok(()) => {
-                        if let Some((t0, t1)) = span {
-                            if self.record_spans {
-                                self.spans.push(rio_stf::validate::Span {
-                                    task: id,
-                                    start: t0.duration_since(self.epoch).as_nanos() as u64,
-                                    end: t1.duration_since(self.epoch).as_nanos() as u64,
-                                });
-                            }
-                            if let Some(tr) = self.tracer.as_mut() {
-                                tr.task(id, t0, t1);
-                            }
-                        }
-                        true
-                    }
-                }
+        self.cx.tasks_visited += 1;
+        if executor == self.cx.me {
+            let view = TaskView {
+                accesses,
+                store: self.store,
             };
-            if ran {
-                self.tasks_executed += 1;
-                if let Some(c) = self.ctr {
-                    c.inc_tasks();
-                }
-                self.flight_event(FlightEventKind::TaskEnd, id, None);
-            }
-            if self.watchdog.is_some() {
-                let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
-                self.status
-                    .completed(self.me, id, self.tasks_executed, steals, retries);
-            }
-
-            // Skip-but-sync: terminates run regardless of `ran`.
-            for a in accesses {
-                self.ops.terminates += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &mut self.locals[a.data.index()];
-                let strategy = self.plan.strategy(a.data.index());
-                let elided = if a.mode.writes() {
-                    terminate_write(s, l, id, strategy)
-                } else {
-                    terminate_read(s, l, strategy)
-                };
-                if elided {
-                    if let Some(c) = self.ctr {
-                        c.inc_wakes_elided();
-                    }
-                }
+            if !self.cx.exec_once(id, accesses, || body(&view)) {
+                abandon_flow();
             }
         } else {
-            for a in accesses {
-                self.ops.declares += 1;
-                let l = &mut self.locals[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, id);
-                } else {
-                    declare_read(l);
-                }
-            }
+            self.cx.declare(id, accesses);
         }
         id
     }
@@ -668,6 +329,7 @@ mod tests {
     use super::*;
     use crate::wait::WaitStrategy;
     use rio_stf::RoundRobin;
+    use std::time::Duration;
 
     fn rio(workers: usize) -> Rio {
         Rio::new(
@@ -903,6 +565,35 @@ mod poison_tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "flow body exploded");
+    }
+
+    /// A flow closure that panics outside any body (here on W0, before
+    /// it submits T1) must not strand W1, which waits on T1: the run
+    /// aborts and the closure's own payload propagates. The run goes on a
+    /// helper thread so a hang fails the test instead of stalling the
+    /// suite.
+    #[test]
+    fn flow_closure_panic_aborts_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let store = DataStore::from_vec(vec![0u64]);
+            let cfg = RioConfig::with_workers(2).wait(crate::wait::WaitStrategy::Park);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Rio::new(cfg).run(&store, &RoundRobin, |ctx| {
+                    if ctx.worker() == WorkerId(0) {
+                        panic!("flow closure bug");
+                    }
+                    ctx.task(&[Access::write(DataId(0))], |_| {}); // T1 on W0
+                    ctx.task(&[Access::read(DataId(0))], |_| {}); // T2 on W1
+                });
+            }));
+            let payload = result.expect_err("the closure's panic must propagate");
+            let _ = tx.send(payload.downcast_ref::<&str>().map(|m| m.to_string()));
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a panicking flow closure hung the run");
+        assert_eq!(msg.as_deref(), Some("flow closure bug"));
     }
 
     /// After a poisoned run the store is still usable (no guard leaked in a

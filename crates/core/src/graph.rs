@@ -1,5 +1,6 @@
 //! Decentralized in-order execution of a *recorded* task graph
-//! (Algorithm 1, generalized from one access per task to access lists).
+//! (Algorithm 1, generalized from one access per task to access lists),
+//! and the one engine and the one run shell behind every path.
 //!
 //! This entry point mirrors how the paper's evaluation runs: the task
 //! graphs are real (matmul, LU, …) while the task bodies are supplied as a
@@ -12,30 +13,36 @@
 //! (`terminate_read`/`terminate_write`); otherwise it merely declares the
 //! accesses in its private state — the whole per-task cost of somebody
 //! else's task.
+//!
+//! `WorkerCtx` is the only implementation of that cycle and
+//! `run_workers` the only place a run spawns its workers: the
+//! interpreted, pruned, compiled, hybrid, flow-API and reduction paths
+//! differ only in how they walk the flow.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+use rio_stf::validate::Span;
 use rio_stf::{
-    ExecError, FlightEventKind, Mapping, PartialReport, StallDiagnostic, StallSite, TaskDesc,
-    TaskGraph, WorkerId,
+    Access, DataId, ExecError, FailedTask, FailureDetail, FlightEventKind, Mapping, PartialReport,
+    StallDiagnostic, StallSite, TaskDesc, TaskGraph, TaskId, WorkerId,
 };
 
-use rio_stf::Access;
-
-use crate::clock::{LoopClock, LoopSpan, TaskClock};
+use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
 use crate::counters::{CounterRegistry, WorkerCounters};
 use crate::flight::{FlightRecorder, FlightRing};
+use crate::hybrid::{PartialMapping, Total};
 use crate::protocol::{
-    apply_sync, declare_batch, declare_read, declare_write, expected_read_word,
-    expected_write_word, get_read_word_cx, get_write_word_cx, publish_read, publish_write,
-    terminate_read, terminate_write, unpack_epoch, AbortCause, AbortFlag, LocalDataState,
-    RecoveryCtx, SharedDataState, SyncDelta, WaitCx, WaitOutcome, WaitResult, WaitVerdict,
-    READ_EPOCH_MASK, WRITE_EPOCH_MASK,
+    apply_sync, declare_batch, expected_read_word, expected_write_word, get_read_word_cx,
+    get_write_word_cx, publish_read, publish_write, terminate_read, terminate_write, unpack_epoch,
+    AbortCause, AbortFlag, LocalDataState, RecoveryCtx, SharedDataState, SyncDelta, WaitCx,
+    WaitOutcome, WaitResult, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
 };
 use crate::report::{ExecReport, OpCounts, WorkerReport};
 use crate::status::StatusTable;
-use crate::steal::{ClaimTable, ScanSource, StealState, EMPTY_SCAN_LIMIT};
+use crate::steal::{ClaimTable, Kernel, ScanSource, StealState, EMPTY_SCAN_LIMIT};
 use crate::trace_api::WorkerTracer;
 use crate::wait::{WaitPlan, WaitStrategy};
 
@@ -46,10 +53,10 @@ use crate::wait::{WaitPlan, WaitStrategy};
 /// the flight-recorder bundle — the last protocol events of every worker
 /// leading up to the stall.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn stall_diagnostic(
+fn stall_diagnostic(
     me: WorkerId,
-    task: rio_stf::TaskId,
-    access: &rio_stf::Access,
+    task: TaskId,
+    access: &Access,
     local: &LocalDataState,
     shared: &SharedDataState,
     waited: Duration,
@@ -78,6 +85,164 @@ pub(crate) fn stall_diagnostic(
         workers: status.snapshot_with(registry),
         flight: flight.map(FlightRecorder::dump).unwrap_or_default(),
     })
+}
+
+/// What one run shares between its workers, built by [`run_workers`]:
+/// the configuration, the shared protocol table, the abort flag, the
+/// watchdog's status table, the counters, the flight recorder and the
+/// recovery state. Plain references, so every [`WorkerCtx`] holds a copy.
+#[derive(Clone, Copy)]
+pub(crate) struct RunEnv<'a> {
+    pub(crate) cfg: &'a RioConfig,
+    pub(crate) shared: &'a [SharedDataState],
+    pub(crate) abort: &'a AbortFlag,
+    status: &'a StatusTable,
+    /// The run's start: the zero of recorded spans and trace stamps.
+    epoch: Instant,
+    registry: Option<&'a CounterRegistry>,
+    flight: Option<&'a FlightRecorder>,
+    rec: Option<&'a RecoveryCtx>,
+}
+
+impl<'a> RunEnv<'a> {
+    /// Worker `me`'s engine for this run. Its loop clock starts now.
+    pub(crate) fn worker(&self, me: WorkerId) -> WorkerCtx<'a> {
+        WorkerCtx::new(*self, me)
+    }
+}
+
+/// A joined run: its report, the degraded run's partial report (`None`
+/// when it completed cleanly), and what each worker returned besides its
+/// report, in worker order.
+pub(crate) type Joined<X> = (ExecReport, Option<PartialReport>, Vec<X>);
+
+/// The one run shell. Builds the per-run state ([`RunEnv`]) with a
+/// shared table of `table_len` data objects and recovery state over
+/// `num_data`, spawns one scoped thread per worker — each binds itself to
+/// its node ([`crate::topo::enter_worker`]) and then runs `worker` — and
+/// joins them all.
+///
+/// A contained failure (a body panic without a recovery policy, or a
+/// watchdog stall) returns its recorded first cause as the error; the
+/// secondary unwinds of the workers that abandoned the flow are dropped.
+/// Any other worker panic (a flow closure's own, outside a body) aborts
+/// the run too, so no sibling waits forever on the panicking worker's
+/// tasks, and propagates once every worker joined.
+pub(crate) fn run_workers<X, F>(
+    cfg: &RioConfig,
+    table_len: usize,
+    num_data: usize,
+    worker: F,
+) -> Result<Joined<X>, ExecError>
+where
+    X: Send,
+    F: Fn(&RunEnv<'_>, WorkerId) -> (WorkerReport, X) + Sync,
+{
+    cfg.validate();
+    let shared = SharedDataState::new_table(table_len);
+    let abort = AbortFlag::new();
+    let status = StatusTable::new(cfg.workers);
+    let registry = CounterRegistry::for_run(cfg);
+    let flight = FlightRecorder::for_run(cfg);
+    let recovery = cfg.recovery.clone().map(|p| RecoveryCtx::new(p, num_data));
+    let env = RunEnv {
+        cfg,
+        shared: &shared,
+        abort: &abort,
+        status: &status,
+        epoch: Instant::now(),
+        registry: registry.as_deref(),
+        flight: flight.as_ref(),
+        rec: recovery.as_ref(),
+    };
+    // The first panic to escape a worker outside every contained body (a
+    // flow closure's own, say): the run's panic, once every worker joined.
+    let escaped = Mutex::new(None);
+    let joined: Vec<Option<(WorkerReport, X)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cfg.workers)
+            .map(|w| {
+                let (env, worker, escaped) = (&env, &worker, &escaped);
+                s.spawn(move || {
+                    // Bind this thread to its node's parking shard (and
+                    // optionally its core) before any protocol traffic.
+                    crate::topo::enter_worker(cfg, w);
+                    catch_unwind(AssertUnwindSafe(|| worker(env, WorkerId::from_index(w))))
+                        .map_err(|p| {
+                            // Siblings may wait on this worker's tasks:
+                            // abort so they abandon the flow instead of
+                            // hanging. Their unwinds come after the armed
+                            // flag, so only the first panic is kept.
+                            let mut slot = escaped.lock();
+                            if slot.is_none() && !env.abort.armed() {
+                                *slot = Some(p);
+                            }
+                            drop(slot);
+                            env.abort.arm_and_wake();
+                        })
+                        .ok()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().ok().flatten())
+            .collect()
+    });
+    let wall = env.epoch.elapsed();
+    if let Some(cause) = abort.take_cause() {
+        return Err(cause.into_error());
+    }
+    if let Some(payload) = escaped.into_inner() {
+        std::panic::resume_unwind(payload);
+    }
+    // Collected in place over `joined`'s buffer: no per-run reallocation.
+    let mut extra = Vec::with_capacity(joined.len());
+    let workers = joined
+        .into_iter()
+        .map(|r| {
+            let (report, x) = r.expect("a worker panicked without aborting the run");
+            extra.push(x);
+            report
+        })
+        .collect();
+    let report = ExecReport {
+        wall,
+        workers,
+        counters: registry
+            .map(|r| r.snapshot().with_topology(cfg))
+            .unwrap_or_default(),
+    };
+    // Workers joined, so the flight dump is exact: a degraded run's report
+    // carries the protocol history that led to every skip and failure.
+    let partial = recovery.and_then(RecoveryCtx::into_report).map(|mut p| {
+        if let Some(f) = &flight {
+            p.flight = f.dump();
+        }
+        p
+    });
+    Ok((report, partial, extra))
+}
+
+/// Fails a run before any worker spawns when `cfg` arms stealing on a
+/// path (named by `path`) that cannot steal: only the interpreted and
+/// compiled walks know every task ahead of time and can price a foreign
+/// task's guards.
+pub(crate) fn reject_stealing(cfg: &RioConfig, path: &'static str) -> Result<(), ExecError> {
+    match cfg.stealing {
+        Some(_) => Err(ExecError::UnsupportedOption {
+            option: "RioConfig::stealing",
+            path,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Unwinds a replayed flow closure ([`crate::Rio`], [`crate::redux`])
+/// whose engine reported an abort. The run shell drops this secondary
+/// unwind and returns the recorded first cause.
+#[cold]
+pub(crate) fn abandon_flow() -> ! {
+    panic!("RIO run aborted: a task body panicked or a wait stalled")
 }
 
 /// Executes `graph` with `cfg.workers` decentralized in-order workers:
@@ -123,27 +288,12 @@ where
     M: Mapping + ?Sized,
     K: Fn(WorkerId, &TaskDesc) + Sync,
 {
-    cfg.validate();
     if cfg.preflight {
         rio_stf::validate_mapping(mapping, graph.len(), cfg.workers)?;
         // The packed epoch word caps task ids and per-epoch read counts
         // at u32; reject flows the protocol cannot represent.
         graph.validate_limits(u64::from(u32::MAX), u64::from(u32::MAX))?;
     }
-    let shared = SharedDataState::new_table(graph.num_data());
-    let kernel = &kernel;
-    let shared = &shared;
-    let abort = &AbortFlag::new();
-    let status = &StatusTable::new(cfg.workers);
-    let registry = CounterRegistry::for_run(cfg);
-    let registry = registry.as_deref();
-    let flight = FlightRecorder::for_run(cfg);
-    let flight = flight.as_ref();
-    let recovery = cfg
-        .recovery
-        .clone()
-        .map(|p| RecoveryCtx::new(p, graph.num_data()));
-    let rec = recovery.as_ref();
     // Bounded stealing (interpreted path): one claim slot per flow entry,
     // the owner of every task (one mapping evaluation, shared by all
     // workers — the thief scan must price tasks it would never map), and
@@ -169,170 +319,96 @@ where
                 });
             }
             offsets.push(expected.len() as u32);
-            for a in &t.accesses {
-                let l = &mut sim[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, t.id);
-                } else {
-                    declare_read(l);
-                }
-            }
+            declare_batch(&mut sim, t.id, &t.accesses);
         }
-        (
-            owners,
-            offsets,
-            expected,
-            crate::steal::Cursor::new_table(cfg.workers),
-        )
+        let claims = ClaimTable::new(graph.len());
+        let epoch = claims.begin_run();
+        let cursors = crate::steal::Cursor::new_table(cfg.workers);
+        (owners, offsets, expected, cursors, claims, epoch)
     });
-    let steal_claims = cfg.stealing.as_ref().map(|_| ClaimTable::new(graph.len()));
-    let steal_epoch = steal_claims.as_ref().map_or(0, ClaimTable::begin_run);
-    let steal_pre = steal_pre.as_ref();
-    let steal_claims = steal_claims.as_ref();
-
-    let start = Instant::now();
-    let workers = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let me = WorkerId::from_index(w);
-                    let steal = match (cfg.stealing.as_ref(), steal_claims, steal_pre) {
-                        (
-                            Some(policy),
-                            Some(claims),
-                            Some((owners, offsets, expected, cursors)),
-                        ) => Some(StealState {
-                            policy,
-                            claims,
-                            epoch: steal_epoch,
-                            scan: ScanSource::Flow {
-                                tasks: graph.tasks(),
-                                owners,
-                                expected,
-                                offsets,
-                                cursors,
-                            },
-                        }),
-                        _ => None,
-                    };
-                    worker_loop(
-                        cfg, graph, mapping, shared, kernel, me, None, abort, status, start,
-                        registry, flight, rec, steal,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    if let Some(cause) = abort.take_cause() {
-        return Err(cause.into_error());
-    }
-    Ok((
-        ExecReport {
-            wall: start.elapsed(),
-            workers,
-            counters: registry
-                .map(|r| r.snapshot().with_topology(cfg))
-                .unwrap_or_default(),
-        },
-        recovery.and_then(RecoveryCtx::into_report).map(|mut p| {
-            // Workers joined above, so this dump is exact: the degraded
-            // run's report carries the protocol history that led to every
-            // skip and failure, not just the final tallies.
-            if let Some(f) = flight {
-                p.flight = f.dump();
-            }
-            p
-        }),
-    ))
+    let (report, partial, _) = run_workers(cfg, graph.num_data(), graph.num_data(), |env, me| {
+        let mut ctx = env.worker(me);
+        if let (Some(policy), Some((owners, offsets, expected, cursors, claims, epoch))) =
+            (cfg.stealing.as_ref(), steal_pre.as_ref())
+        {
+            ctx.steal = Some(StealState {
+                policy,
+                claims,
+                epoch: *epoch,
+                kernel: &kernel,
+                scan: ScanSource::Flow {
+                    tasks: graph.tasks(),
+                    owners,
+                    expected,
+                    offsets,
+                    cursors,
+                },
+            });
+        }
+        let report = worker_loop(ctx, graph, &Total(mapping), &kernel, None, None);
+        (report, ())
+    })?;
+    Ok((report, partial))
 }
 
-/// Per-worker execution context: the private protocol state, counters,
-/// timers and tracing of one worker in one run.
+/// One worker's engine: its private protocol state, counters, timers and
+/// tracing in one run.
 ///
-/// This is the single task-execution engine behind every flow walker:
-/// the interpreted [`worker_loop`] (plain and pruned — a visit list is
-/// just a restricted walk) and the compiled-program interpreter of
-/// [`crate::compile`] both drive it. Keeping the `get → kernel →
-/// terminate` sequence (with its fault containment, watchdog and tracing)
-/// in one place is what lets the compiled path claim byte-identical
-/// protocol semantics.
+/// This is the only task-execution engine. A walker decides which tasks
+/// are its worker's — [`worker_loop`] (the interpreted, pruned and hybrid
+/// walks), the compiled-program interpreter of [`crate::compile`], the
+/// flow API's [`crate::FlowCtx`] and the reduction extension's
+/// [`crate::redux::ReduxCtx`] — and the engine runs each one through the
+/// paper's cycle in four steps: [`acquire`](WorkerCtx::acquire) every
+/// access, run the body (a replayable kernel, or a flow API body that runs
+/// at most once), [`complete`](WorkerCtx::complete) the tallies and
+/// [`release`](WorkerCtx::release) every access. Every other task is a
+/// [`declare`](WorkerCtx::declare). Keeping the cycle, with its fault
+/// containment, watchdog and tracing, in one place is what lets every path
+/// claim byte-identical protocol semantics.
 pub(crate) struct WorkerCtx<'a> {
-    cfg: &'a RioConfig,
-    shared: &'a [SharedDataState],
-    pub me: WorkerId,
-    abort: &'a AbortFlag,
-    status: &'a StatusTable,
-    epoch: Instant,
+    pub(crate) env: RunEnv<'a>,
+    pub(crate) me: WorkerId,
     /// Every object's wait policy ([`RioConfig::wait_policies`] over the
-    /// run-wide pair), for waits and terminates alike. Shared by every
-    /// worker of the run.
-    plan: WaitPlan<'a>,
-    pub locals: Vec<LocalDataState>,
-    pub ops: OpCounts,
-    pub tasks_executed: u64,
-    pub tasks_visited: u64,
+    /// run-wide pair), for waits and terminates alike.
+    pub(crate) plan: WaitPlan<'a>,
+    locals: Vec<LocalDataState>,
+    pub(crate) ops: OpCounts,
+    tasks_executed: u64,
+    pub(crate) tasks_visited: u64,
     clock: TaskClock,
     idle_time: Duration,
-    spans: Vec<rio_stf::validate::Span>,
+    spans: Vec<Span>,
     tracer: Option<WorkerTracer>,
     /// Always-on counter line of this worker (`None` when disabled).
-    ctr: Option<&'a WorkerCounters>,
-    /// The run's whole counter registry, for diagnostics that snapshot
-    /// *every* worker (stall dumps render steal/retry deltas per worker).
-    registry: Option<&'a CounterRegistry>,
+    pub(crate) ctr: Option<&'a WorkerCounters>,
     /// This worker's flight-recorder ring (`None` when disabled): the
     /// single-writer event log the hot path appends to.
     ring: Option<&'a FlightRing>,
-    /// The run's whole flight recorder, dumped into stall diagnostics.
-    flight: Option<&'a FlightRecorder>,
-    /// Recovery state shared by every worker of the run (`None` when no
-    /// [`crate::config::RecoveryPolicy`] is installed — the abort-on-panic
-    /// fast path costs exactly one branch per executed task).
-    rec: Option<&'a RecoveryCtx>,
     /// Steal state shared by every worker of the run (`None` when no
-    /// [`crate::steal::StealPolicy`] is installed, or on paths that don't
-    /// support stealing — pruned/hybrid). Installed by the runtime shell
-    /// after construction.
+    /// [`crate::steal::StealPolicy`] is installed). Installed by the
+    /// interpreted and compiled paths after construction; the other paths
+    /// reject the policy up front ([`reject_stealing`]).
     pub(crate) steal: Option<StealState<'a>>,
     measure: bool,
     record: bool,
     wd: bool,
     traced: bool,
+    loop_clock: LoopClock,
 }
 
 impl<'a> WorkerCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        cfg: &'a RioConfig,
-        num_data: usize,
-        shared: &'a [SharedDataState],
-        me: WorkerId,
-        abort: &'a AbortFlag,
-        status: &'a StatusTable,
-        epoch: Instant,
-        registry: Option<&'a CounterRegistry>,
-        flight: Option<&'a FlightRecorder>,
-        rec: Option<&'a RecoveryCtx>,
-    ) -> WorkerCtx<'a> {
-        let ctr = registry.map(|r| r.worker(me.index()));
-        let ring = flight.map(|f| f.ring(me.index()));
+    fn new(env: RunEnv<'a>, me: WorkerId) -> WorkerCtx<'a> {
+        let cfg = env.cfg;
         let tracer = cfg
             .trace
             .as_ref()
-            .map(|tc| WorkerTracer::new(tc, me.index() as u32, epoch));
+            .map(|tc| WorkerTracer::new(tc, me.index() as u32, env.epoch));
         WorkerCtx {
-            cfg,
-            shared,
+            env,
             me,
-            abort,
-            status,
-            epoch,
             plan: WaitPlan::of(cfg),
-            locals: vec![LocalDataState::default(); num_data],
+            locals: vec![LocalDataState::default(); env.shared.len()],
             ops: OpCounts::default(),
             tasks_executed: 0,
             tasks_visited: 0,
@@ -341,44 +417,28 @@ impl<'a> WorkerCtx<'a> {
             spans: Vec::new(),
             traced: tracer.is_some(),
             tracer,
-            ctr,
-            registry,
-            ring,
-            flight,
-            rec,
+            ctr: env.registry.map(|r| r.worker(me.index())),
+            ring: env.flight.map(|f| f.ring(me.index())),
             steal: None,
             measure: cfg.measure_time,
             record: cfg.record_spans,
             wd: cfg.watchdog.is_some(),
+            loop_clock: LoopClock::start(),
         }
     }
 
     /// Appends one event to this worker's flight ring (no-op with the
     /// recorder disabled). Single-writer: only `self` ever records here.
     #[inline]
-    fn flight_event(
-        &self,
-        kind: FlightEventKind,
-        task: rio_stf::TaskId,
-        data: Option<rio_stf::DataId>,
-    ) {
+    fn flight_event(&self, kind: FlightEventKind, task: TaskId, data: Option<DataId>) {
         if let Some(r) = self.ring {
             r.record(kind, task, data);
         }
     }
 
-    /// The worker's live steal/retry counters, for a progress tick
-    /// ([`StatusTable::completed`]): a later stall diagnostic subtracts
-    /// them from the then-live values to show activity since this tick.
-    #[inline]
-    fn tick_counters(&self) -> (u64, u64) {
-        self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()))
-    }
-
-    /// Executes one task mapped to this worker: acquire every access in
-    /// `accesses` (declaration order), run the kernel under fault
-    /// containment, publish the completions. Returns `false` when the run
-    /// aborted and the worker must abandon the flow.
+    /// Executes one task mapped to this worker through the four steps.
+    /// Returns `false` when the run aborted and the worker must abandon
+    /// the flow.
     ///
     /// `accesses` equals the task's declared list; it is passed separately
     /// so callers holding an access arena slice avoid touching
@@ -423,31 +483,70 @@ impl<'a> WorkerCtx<'a> {
     where
         K: Fn(WorkerId, &TaskDesc) + Sync,
     {
-        // Containment guarantee: no body starts once the abort is
-        // observed.
-        if self.abort.armed() {
-            return false;
-        }
         // With stealing armed, the owner must CAS-claim its own task
         // *before* waiting on any guard: a thief only claims tasks whose
         // guards are already satisfied, so deciding by a plain load here
         // would race the claim against the thief's and run the body
         // twice. Losing the CAS means a thief holds the body — the task
         // becomes foreign work: private declares only, no kernel, no
-        // terminates (the thief publishes them). See DESIGN.md §14.
+        // terminates (the thief publishes them). See DESIGN.md §14. (A
+        // terminate's local effect *is* the declare, so this leaves the
+        // owner's private view bit-identical to having run the task.)
         if let Some(st) = self.steal {
             if !st
                 .claims
                 .try_claim(t.id.index(), st.epoch, self.me.index() as u32)
             {
-                self.skip_stolen(t, accesses);
+                self.declare(t.id, accesses);
+                self.complete(t.id, false);
                 return true;
             }
         }
-        // Acquire every declared access, in declaration order. The
-        // waits are pure condition polls (no resource is held), so no
-        // acquisition order can deadlock.
-        for (i, a) in accesses[..synced].iter().enumerate() {
+        let synced = &accesses[..synced];
+        if !self.acquire(t.id, synced, pre) {
+            return false;
+        }
+        let Some(ran) = self.run_kernel(kernel, t, accesses) else {
+            return false;
+        };
+        self.complete(t.id, ran);
+        self.release(t.id, synced);
+        true
+    }
+
+    /// [`WorkerCtx::exec_task`] for a flow API body, which runs at most
+    /// once: it is an `FnOnce` closure of one replay, not a kernel.
+    pub(crate) fn exec_once(
+        &mut self,
+        id: TaskId,
+        accesses: &[Access],
+        body: impl FnOnce(),
+    ) -> bool {
+        if !self.acquire(id, accesses, None) {
+            return false;
+        }
+        let Some(ran) = self.run_once(id, accesses, body) else {
+            return false;
+        };
+        self.complete(id, ran);
+        self.release(id, accesses);
+        true
+    }
+
+    /// Step 1: waits until every access in `accesses` may proceed, in
+    /// declaration order. The waits are pure condition polls (no resource
+    /// is held), so no acquisition order can deadlock. `pre[i]`, when
+    /// given, is the epoch word access `i` waits for, precomputed by
+    /// [`crate::compile`]. Returns `false` when the run aborted, before or
+    /// during a wait: no body starts once the abort is observed. Always
+    /// inlined, like the other steps: they are the per-task hot path, and
+    /// a ready get costs one load.
+    #[inline(always)]
+    pub(crate) fn acquire(&mut self, id: TaskId, accesses: &[Access], pre: Option<&[u64]>) -> bool {
+        if self.env.abort.armed() {
+            return false;
+        }
+        for (i, a) in accesses.iter().enumerate() {
             self.ops.gets += 1;
             let data = a.data.index();
             let writes = a.mode.writes();
@@ -466,8 +565,8 @@ impl<'a> WorkerCtx<'a> {
                         debug_assert_eq!(
                             words[i], interp,
                             "compiled expected word diverges from the private view \
-                             ({} access {i} on {})",
-                            t.id, a.data,
+                             ({id} access {i} on {})",
+                            a.data,
                         );
                         words[i]
                     }
@@ -482,51 +581,196 @@ impl<'a> WorkerCtx<'a> {
             // Poll first: a get that is ready at its first poll takes no
             // clock and no status write. Only a failed poll pays for the
             // wait bookkeeping.
-            if !self.shared[data].satisfied(expected, mask)
-                && !self.wait_get(kernel, t, a, expected)
-            {
+            if !self.env.shared[data].satisfied(expected, mask) && !self.wait_get(id, a, expected) {
                 return false;
             }
         }
+        self.flight_event(FlightEventKind::TaskStart, id, None);
+        true
+    }
 
-        self.flight_event(FlightEventKind::TaskStart, t.id, None);
-        let ran = match self.rec {
-            None => {
-                if !self.run_body_or_abort(kernel, t) {
-                    return false;
-                }
-                true
-            }
-            Some(rec) => self.exec_task_recovering(kernel, t, accesses, rec),
+    /// Step 2 for a replayable kernel: runs `kernel` on `t` under fault
+    /// containment — abort semantics, or the recovery policy's poison
+    /// check, retries and skip. `Some(ran)` hands on to
+    /// [`WorkerCtx::complete`]; `None` means the body's panic aborted the
+    /// run.
+    fn run_kernel<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access]) -> Option<bool>
+    where
+        K: Fn(WorkerId, &TaskDesc) + Sync + ?Sized,
+    {
+        let Some(rec) = self.env.rec else {
+            #[cfg(feature = "fault-inject")]
+            let cfg = self.env.cfg;
+            let me = self.me;
+            return self
+                .run_body_or_abort(t.id, || {
+                    #[cfg(feature = "fault-inject")]
+                    if let Some(hook) = cfg.fault_hook.as_ref() {
+                        hook.before_task(me, t.id);
+                    }
+                    kernel(me, t)
+                })
+                .then_some(true);
         };
+        Some(self.run_kernel_recovering(kernel, t, accesses, rec))
+    }
+
+    /// [`WorkerCtx::run_kernel`] under a recovery policy: the poison check
+    /// and skip, then the body under the policy's retries. Returns whether
+    /// an attempt succeeded.
+    fn run_kernel_recovering<K>(
+        &mut self,
+        kernel: &K,
+        t: &TaskDesc,
+        accesses: &[Access],
+        rec: &RecoveryCtx,
+    ) -> bool
+    where
+        K: Fn(WorkerId, &TaskDesc) + Sync + ?Sized,
+    {
+        if self.skip_poisoned(rec, t.id, accesses) {
+            return false;
+        }
+        let span = run_body_with_recovery(
+            self.env.cfg,
+            rec,
+            kernel,
+            self.me,
+            t,
+            accesses,
+            self.ctr,
+            self.ring,
+            &mut self.clock,
+        );
+        if let Some(span) = span {
+            self.note_body(t.id, span);
+        }
+        span.is_some()
+    }
+
+    /// Step 2 for a body that runs at most once: abort semantics without
+    /// a recovery policy. With one, the poison check and skip as for a
+    /// kernel, but a panic fails the task for good at attempt 0 — an
+    /// `FnOnce` cannot be retried.
+    fn run_once(&mut self, id: TaskId, accesses: &[Access], body: impl FnOnce()) -> Option<bool> {
+        let Some(rec) = self.env.rec else {
+            return self.run_body_or_abort(id, body).then_some(true);
+        };
+        if self.skip_poisoned(rec, id, accesses) {
+            return Some(false);
+        }
+        let start = self.clock.start();
+        let outcome = catch_unwind(AssertUnwindSafe(body));
+        let span = self.clock.stop(start);
+        match outcome {
+            Ok(()) => {
+                self.note_body(id, span);
+                Some(true)
+            }
+            Err(payload) => {
+                rec.record_failed(FailedTask {
+                    task: id,
+                    worker: self.me,
+                    retries: 0,
+                    detail: FailureDetail::TaskFailed { payload },
+                });
+                poison_writes(rec, id, accesses, self.ctr, self.ring);
+                Some(false)
+            }
+        }
+    }
+
+    /// Degraded mode's skip: when an input datum is poisoned, the failure
+    /// already happened upstream and this task's outputs would be
+    /// garbage, so its body does not run and its writes are poisoned in
+    /// turn. The acquire step admitted every access, so any poison a
+    /// producer published before its terminate is visible here (the bit
+    /// rides the protocol's own Release/Acquire edge).
+    #[inline]
+    fn skip_poisoned(&self, rec: &RecoveryCtx, id: TaskId, accesses: &[Access]) -> bool {
+        let skip = accesses.iter().any(|a| rec.is_poisoned(a.data));
+        if skip {
+            rec.record_skipped(id);
+            poison_writes(rec, id, accesses, self.ctr, self.ring);
+        }
+        skip
+    }
+
+    /// Runs one body with abort semantics (no recovery policy): the first
+    /// panic records its cause and ends the whole run. Returns `false` on
+    /// a panic.
+    pub(crate) fn run_body_or_abort(&mut self, id: TaskId, body: impl FnOnce()) -> bool {
+        let start = self.clock.start();
+        let outcome = catch_unwind(AssertUnwindSafe(body));
+        let span = self.clock.stop(start);
+        if let Err(payload) = outcome {
+            self.flight_event(FlightEventKind::Abort, id, None);
+            if let Some(c) = self.ctr {
+                c.inc_aborts();
+            }
+            self.env.abort.abort(AbortCause::Panic {
+                task: id,
+                worker: self.me,
+                payload,
+            });
+            return false;
+        }
+        self.note_body(id, span);
+        true
+    }
+
+    /// Hands a completed body's `Instant` span, when it took one, to the
+    /// span log and the trace.
+    #[inline]
+    fn note_body(&mut self, task: TaskId, span: Option<(Instant, Instant)>) {
+        let Some((t0, t1)) = span else { return };
+        if self.record {
+            self.spans.push(Span {
+                task,
+                start: t0.duration_since(self.env.epoch).as_nanos() as u64,
+                end: t1.duration_since(self.env.epoch).as_nanos() as u64,
+            });
+        }
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.task(task, t0, t1);
+        }
+    }
+
+    /// Step 3: tallies a finished body — `ran` when it succeeded rather
+    /// than being skipped, failing for good or running on a thief — and
+    /// ticks the watchdog's progress entry: the worker is alive and the
+    /// flow is advancing either way.
+    #[inline(always)]
+    pub(crate) fn complete(&mut self, id: TaskId, ran: bool) {
         if ran {
             self.tasks_executed += 1;
             if let Some(c) = self.ctr {
                 c.inc_tasks();
             }
-            self.flight_event(FlightEventKind::TaskEnd, t.id, None);
+            self.flight_event(FlightEventKind::TaskEnd, id, None);
         }
-        // Skipped and permanently-failed tasks still report watchdog
-        // progress: the worker is alive and the flow is advancing.
         if self.wd {
-            let (steals, retries) = self.tick_counters();
-            self.status
-                .completed(self.me, t.id, self.tasks_executed, steals, retries);
+            let (steals, retries) = self.ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
+            self.env
+                .status
+                .completed(self.me, id, self.tasks_executed, steals, retries);
         }
+    }
 
-        // Skip-but-sync: the terminates below run regardless of `ran`. A
-        // skipped or permanently-failed task still publishes every epoch
-        // advance its completion owes the protocol, so no downstream
-        // worker ever stalls on a failure — they observe the poison bits
-        // instead (published before these stores, so the Release edge of
-        // each terminate carries them).
-        for a in &accesses[..synced] {
+    /// Step 4: publishes the completion of every access. Skip-but-sync:
+    /// this runs for skipped and permanently-failed bodies too, so no
+    /// downstream worker ever stalls on a failure — they observe the
+    /// poison bits instead, set before these stores, so the Release edge
+    /// of each terminate carries them.
+    #[inline(always)]
+    pub(crate) fn release(&mut self, id: TaskId, accesses: &[Access]) {
+        for a in accesses {
             self.ops.terminates += 1;
-            let strategy = self.plan.strategy(a.data.index());
-            let s = &self.shared[a.data.index()];
-            let l = &mut self.locals[a.data.index()];
+            let data = a.data.index();
+            let strategy = self.plan.strategy(data);
+            let (s, l) = (&self.env.shared[data], &mut self.locals[data]);
             let elided = if a.mode.writes() {
-                terminate_write(s, l, t.id, strategy)
+                terminate_write(s, l, id, strategy)
             } else {
                 terminate_read(s, l, strategy)
             };
@@ -536,212 +780,110 @@ impl<'a> WorkerCtx<'a> {
                 }
             }
         }
-
         #[cfg(feature = "fault-inject")]
-        if let Some(hook) = self.cfg.fault_hook.as_ref() {
-            if hook.spurious_wake_after(self.me, t.id) {
-                crate::protocol::spurious_wake_all(self.shared);
+        if let Some(hook) = self.env.cfg.fault_hook.as_ref() {
+            if hook.spurious_wake_after(self.me, id) {
+                crate::protocol::spurious_wake_all(self.env.shared);
             }
         }
-        true
+    }
+
+    /// The start of a wait, when anything reads it: time measurement,
+    /// the trace or the watchdog.
+    #[inline]
+    pub(crate) fn wait_clock(&self) -> Option<Instant> {
+        (self.measure || self.traced || self.wd).then(Instant::now)
+    }
+
+    /// Tallies one finished wait begun at `t0`: the op and counter
+    /// tallies, the flight ring's park event, idle time and the trace's
+    /// wait event. A wait that never polled (ready at once) counts
+    /// nothing.
+    pub(crate) fn note_wait(
+        &mut self,
+        id: TaskId,
+        data: DataId,
+        writes: bool,
+        t0: Option<Instant>,
+        wo: WaitOutcome,
+    ) {
+        if !wo.waited() {
+            return;
+        }
+        self.ops.waits += 1;
+        self.ops.poll_loops += wo.polls;
+        if let Some(c) = self.ctr {
+            c.add_spins(wo.polls);
+            c.add_parks(wo.parks);
+        }
+        if wo.parks > 0 {
+            self.flight_event(FlightEventKind::Park, id, Some(data));
+        }
+        if let Some(t0) = t0 {
+            let t1 = Instant::now();
+            if self.measure {
+                self.idle_time += t1.duration_since(t0);
+            }
+            if let Some(tr) = self.tracer.as_mut() {
+                tr.wait(id, data, writes, t0, t1, wo.polls, wo.parks);
+            }
+        }
     }
 
     /// The rest of a get whose first poll failed: the wait itself, under
-    /// the watchdog's status entry and the idle clock, then its counters,
-    /// trace event and verdict. Returns `false` when the run aborted (or
-    /// this wait diagnosed a stall) and the worker must stop.
+    /// the watchdog's status entry and the idle clock, then its tallies
+    /// and verdict. Returns `false` when the run aborted (or this wait
+    /// diagnosed a stall) and the worker must stop.
     #[inline(never)]
-    fn wait_get<K>(&mut self, kernel: &K, t: &TaskDesc, a: &Access, expected: u64) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    fn wait_get(&mut self, id: TaskId, a: &Access, expected: u64) -> bool {
+        let env = self.env;
         let data = a.data.index();
-        let shared = self.shared;
-        let s = &shared[data];
+        let s = &env.shared[data];
         let writes = a.mode.writes();
-        let wait_start = (self.measure || self.traced || self.wd).then(Instant::now);
+        let wait_start = self.wait_clock();
         if self.wd {
-            self.status.begin_wait(self.me, a.data);
+            env.status.begin_wait(self.me, a.data);
         }
-        let cx = self.plan.cx(data, self.cfg.watchdog, self.abort);
+        let cx = self.plan.cx(data, env.cfg.watchdog, env.abort);
         let wr = if self.steal.is_some() {
-            self.wait_or_steal(kernel, expected, writes, data, &cx)
+            self.wait_or_steal(expected, writes, data, &cx)
         } else if writes {
             get_write_word_cx(s, expected, &cx)
         } else {
             get_read_word_cx(s, expected, &cx)
         };
         if self.wd {
-            self.status.end_wait(self.me);
+            env.status.end_wait(self.me);
         }
-        let wo = wr.outcome;
-        if wo.polls > 0 {
-            self.ops.waits += 1;
-            self.ops.poll_loops += wo.polls;
-            if let Some(c) = self.ctr {
-                c.add_spins(wo.polls);
-                c.add_parks(wo.parks);
-            }
-            if wo.parks > 0 {
-                self.flight_event(FlightEventKind::Park, t.id, Some(a.data));
-            }
-            if let Some(t0) = wait_start {
-                let t1 = Instant::now();
-                if self.measure {
-                    self.idle_time += t1.duration_since(t0);
-                }
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.wait(t.id, a.data, writes, t0, t1, wo.polls, wo.parks);
-                }
-            }
-        }
+        self.note_wait(id, a.data, writes, wait_start, wr.outcome);
         match wr.verdict {
             WaitVerdict::Ready => true,
             WaitVerdict::Aborted => false,
             WaitVerdict::DeadlineExceeded => {
                 let waited = wait_start
                     .map(|t0| t0.elapsed())
-                    .or(self.cfg.watchdog)
+                    .or(env.cfg.watchdog)
                     .unwrap_or_default();
                 // Record the abort *before* dumping, so the stalling
                 // worker's own ring shows it as the final event.
-                self.flight_event(FlightEventKind::Abort, t.id, Some(a.data));
+                self.flight_event(FlightEventKind::Abort, id, Some(a.data));
                 let diag = stall_diagnostic(
                     self.me,
-                    t.id,
+                    id,
                     a,
                     &self.locals[data],
                     s,
                     waited,
-                    self.status,
-                    self.registry,
-                    self.flight,
+                    env.status,
+                    env.registry,
+                    env.flight,
                 );
                 if let Some(c) = self.ctr {
                     c.inc_aborts();
                 }
-                self.abort.abort(AbortCause::Stall(diag), self.shared);
+                env.abort.abort(AbortCause::Stall(diag));
                 false
             }
-        }
-    }
-
-    /// The degraded-mode body path: skip the kernel outright when an
-    /// input datum is poisoned (the failure already happened upstream and
-    /// this task's outputs would be garbage), otherwise run it under the
-    /// retry policy. Returns `true` when an attempt succeeded — the task
-    /// counts as executed; `false` when it was skipped or permanently
-    /// failed. Either way the caller proceeds to the terminates.
-    fn exec_task_recovering<K>(
-        &mut self,
-        kernel: &K,
-        t: &TaskDesc,
-        accesses: &[Access],
-        rec: &'a RecoveryCtx,
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        // The get loop above already admitted every access, so any poison
-        // a producer published before its terminate is visible here (the
-        // bit rides the protocol's own Release/Acquire edge).
-        if accesses.iter().any(|a| rec.is_poisoned(a.data)) {
-            rec.record_skipped(t.id);
-            poison_writes(rec, t.id, accesses, self.ctr, self.ring);
-            return false;
-        }
-        match run_body_with_recovery(
-            self.cfg,
-            rec,
-            kernel,
-            self.me,
-            t,
-            accesses,
-            self.ctr,
-            self.ring,
-            &mut self.clock,
-        ) {
-            Some(span) => {
-                self.note_body(t.id, span);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Runs one body with abort semantics (no recovery policy): the first
-    /// panic records its cause and ends the whole run. Returns `false` on
-    /// a panic.
-    fn run_body_or_abort<K>(&mut self, kernel: &K, t: &TaskDesc) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
-        let body = std::panic::AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-inject")]
-            if let Some(hook) = self.cfg.fault_hook.as_ref() {
-                hook.before_task(self.me, t.id);
-            }
-            kernel(self.me, t)
-        });
-        let start = self.clock.start();
-        let outcome = std::panic::catch_unwind(body);
-        let span = self.clock.stop(start);
-        if let Err(payload) = outcome {
-            self.flight_event(FlightEventKind::Abort, t.id, None);
-            if let Some(c) = self.ctr {
-                c.inc_aborts();
-            }
-            self.abort.abort(
-                AbortCause::Panic {
-                    task: t.id,
-                    worker: self.me,
-                    payload,
-                },
-                self.shared,
-            );
-            return false;
-        }
-        self.note_body(t.id, span);
-        true
-    }
-
-    /// Hands a completed body's `Instant` span, when it took one, to the
-    /// span log and the trace.
-    fn note_body(&mut self, task: rio_stf::TaskId, span: Option<(Instant, Instant)>) {
-        let Some((t0, t1)) = span else { return };
-        if self.record {
-            self.spans.push(rio_stf::validate::Span {
-                task,
-                start: t0.duration_since(self.epoch).as_nanos() as u64,
-                end: t1.duration_since(self.epoch).as_nanos() as u64,
-            });
-        }
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.task(task, t0, t1);
-        }
-    }
-
-    /// The owner's half of a stolen task: a thief claimed it and runs
-    /// (or already ran) the body and every terminate's shared publication,
-    /// so the owner registers it exactly like foreign work — private
-    /// declares only. (A terminate's local effect *is* the declare, so
-    /// this leaves the owner's private view bit-identical to having
-    /// executed the task itself.)
-    fn skip_stolen(&mut self, t: &TaskDesc, accesses: &[Access]) {
-        self.ops.declares += accesses.len() as u64;
-        for a in accesses {
-            let l = &mut self.locals[a.data.index()];
-            if a.mode.writes() {
-                declare_write(l, t.id);
-            } else {
-                declare_read(l);
-            }
-        }
-        // The flow is advancing even though the owner ran nothing.
-        if self.wd {
-            let (steals, retries) = self.tick_counters();
-            self.status
-                .completed(self.me, t.id, self.tasks_executed, steals, retries);
         }
     }
 
@@ -753,22 +895,17 @@ impl<'a> WorkerCtx<'a> {
     /// worker actually parks: "park only after a failed scan"). Entered
     /// only after the get's first poll failed, so an armed run whose gets
     /// are ready pays the same one acquire-load per get as an unarmed one.
-    fn wait_or_steal<K>(
+    fn wait_or_steal(
         &mut self,
-        kernel: &K,
         expected: u64,
         writes: bool,
         data: usize,
         cx: &WaitCx<'a>,
-    ) -> WaitResult
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    ) -> WaitResult {
         let st = self
             .steal
             .expect("wait_or_steal requires an armed steal layer");
-        let shared = self.shared;
-        let s = &shared[data];
+        let s = &self.env.shared[data];
         let wait = |cx: &WaitCx<'_>| {
             if writes {
                 get_write_word_cx(s, expected, cx)
@@ -815,7 +952,7 @@ impl<'a> WorkerCtx<'a> {
                             verdict: WaitVerdict::DeadlineExceeded,
                         };
                     }
-                    if self.try_steal_one(kernel) {
+                    if self.try_steal_one() {
                         steals += 1;
                         empty = 0;
                     } else {
@@ -837,14 +974,11 @@ impl<'a> WorkerCtx<'a> {
 
     /// One scan-and-claim attempt. Returns `true` when a foreign task was
     /// claimed and executed in place.
-    fn try_steal_one<K>(&mut self, kernel: &K) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    fn try_steal_one(&mut self) -> bool {
         // A tearing-down run must not start new bodies: the abort wakes
         // every waiter, so stealing past it would run a task whose owner
         // (and its waiters) already abandoned the flow.
-        if self.abort.armed() {
+        if self.env.abort.armed() {
             return false;
         }
         let st = self.steal.expect("armed");
@@ -855,14 +989,14 @@ impl<'a> WorkerCtx<'a> {
                 expected,
                 offsets,
                 cursors,
-            } => self.steal_scan_flow(kernel, st, tasks, owners, expected, offsets, cursors),
+            } => self.steal_scan_flow(st, tasks, owners, expected, offsets, cursors),
             ScanSource::Compiled {
                 tasks,
                 arenas,
                 nodes,
                 programs,
                 cursors,
-            } => self.steal_scan_compiled(kernel, st, tasks, arenas, nodes, programs, cursors),
+            } => self.steal_scan_compiled(st, tasks, arenas, nodes, programs, cursors),
         }
     }
 
@@ -877,22 +1011,17 @@ impl<'a> WorkerCtx<'a> {
     /// prefixes observed fully claimed. `window` bounds the candidates
     /// priced; a larger cap bounds the total indices walked so claimed
     /// stretches cannot make a scan O(flow).
-    #[allow(clippy::too_many_arguments)]
-    fn steal_scan_flow<K>(
+    fn steal_scan_flow(
         &mut self,
-        kernel: &K,
         st: StealState<'a>,
         tasks: &'a [TaskDesc],
         owners: &'a [u32],
         expected: &'a [u64],
         offsets: &'a [u32],
         cursors: &'a [crate::steal::Cursor],
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    ) -> bool {
         let me = self.me.index() as u32;
-        let shared = self.shared;
+        let shared = self.env.shared;
         let min_cursor = cursors
             .iter()
             .map(|c| c.0.load(std::sync::atomic::Ordering::Relaxed))
@@ -933,7 +1062,7 @@ impl<'a> WorkerCtx<'a> {
                             c.inc_steals();
                         }
                         self.flight_event(FlightEventKind::Steal, t.id, None);
-                        self.execute_stolen(kernel, t, &t.accesses);
+                        self.execute_stolen(st.kernel, t, &t.accesses);
                         return true;
                     }
                     if let Some(c) = self.ctr {
@@ -952,24 +1081,19 @@ impl<'a> WorkerCtx<'a> {
     /// per access with no simulation. Stale cursors are safe: everything
     /// a victim already executed is claimed (the owner claims before
     /// running), so re-scanning it merely wastes window budget.
-    #[allow(clippy::too_many_arguments)]
-    fn steal_scan_compiled<K>(
+    fn steal_scan_compiled(
         &mut self,
-        kernel: &K,
         st: StealState<'a>,
         tasks: &'a [TaskDesc],
         arenas: &'a [crate::compile::NodeArena],
         nodes: &'a [u32],
         programs: &'a [crate::compile::WorkerProgram],
         cursors: &'a [crate::steal::Cursor],
-    ) -> bool
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    ) -> bool {
         use crate::compile::SYNC_BIT;
         let me = self.me.index();
         let workers = programs.len();
-        let shared = self.shared;
+        let shared = self.env.shared;
         // Victim preference: the policy's (doctor-seeded) order first,
         // then a same-node-first round-robin from our successor — a
         // stolen body touches the victim's arena and epoch words, so
@@ -1025,7 +1149,7 @@ impl<'a> WorkerCtx<'a> {
                         c.inc_steals();
                     }
                     self.flight_event(FlightEventKind::Steal, tasks[ti].id, None);
-                    self.execute_stolen(kernel, &tasks[ti], acc);
+                    self.execute_stolen(st.kernel, &tasks[ti], acc);
                     return true;
                 }
                 if let Some(c) = self.ctr {
@@ -1042,41 +1166,26 @@ impl<'a> WorkerCtx<'a> {
     /// and is monotonic until these publications) and no private
     /// declares — the thief's own walk registers this task as foreign
     /// work when it reaches it, and the owner skips-but-syncs.
-    fn execute_stolen<K>(&mut self, kernel: &K, t: &TaskDesc, accesses: &[Access])
-    where
-        K: Fn(WorkerId, &TaskDesc) + Sync,
-    {
+    fn execute_stolen(&mut self, kernel: &Kernel<'_>, t: &TaskDesc, accesses: &[Access]) {
         self.flight_event(FlightEventKind::TaskStart, t.id, None);
-        let ran = match self.rec {
-            None => {
-                // On a panic the run is tearing down; the claim stays held
-                // so the owner never re-runs the body, and the abort wakes
-                // every waiter the missing terminates would have.
-                if !self.run_body_or_abort(kernel, t) {
-                    return;
-                }
-                true
-            }
-            // Recovery is keyed on the task, not the worker: a stolen
-            // task retries, fails, poisons and skips exactly as it would
-            // on its owner (the poison bits are published before the
-            // terminates below, riding the same Release edges).
-            Some(rec) => self.exec_task_recovering(kernel, t, accesses, rec),
+        // On a panic without a recovery policy the run is tearing down;
+        // the claim stays held so the owner never re-runs the body, and
+        // the abort wakes every waiter the missing terminates would have.
+        // Recovery is keyed on the task, not the worker: a stolen task
+        // retries, fails, poisons and skips exactly as on its owner (the
+        // poison bits are published before the terminates below, riding
+        // the same Release edges).
+        let Some(ran) = self.run_kernel(kernel, t, accesses) else {
+            return;
         };
-        if ran {
-            self.tasks_executed += 1;
-            if let Some(c) = self.ctr {
-                c.inc_tasks();
-            }
-            self.flight_event(FlightEventKind::TaskEnd, t.id, None);
-        }
+        self.complete(t.id, ran);
         // Publish every epoch advance this task owes the protocol — with
         // the data object's own strategy (shared run-wide), so §10 wake
         // elision behaves exactly as if the owner had terminated.
         for a in accesses {
             self.ops.terminates += 1;
             let strategy = self.plan.strategy(a.data.index());
-            let s = &self.shared[a.data.index()];
+            let s = &self.env.shared[a.data.index()];
             let elided = if a.mode.writes() {
                 publish_write(s, t.id, strategy)
             } else {
@@ -1090,12 +1199,12 @@ impl<'a> WorkerCtx<'a> {
         }
     }
 
-    /// Registers one non-local task in the interpreted walk: one or two
+    /// Registers one task that is not this worker's to run: one or two
     /// private writes per access, nothing else.
     #[inline]
-    pub(crate) fn declare_task(&mut self, t: &TaskDesc) {
-        self.ops.declares += t.accesses.len() as u64;
-        declare_batch(&mut self.locals, t.id, &t.accesses);
+    pub(crate) fn declare(&mut self, id: TaskId, accesses: &[Access]) {
+        self.ops.declares += accesses.len() as u64;
+        declare_batch(&mut self.locals, id, accesses);
     }
 
     /// Applies one compiled `Sync` instruction: the coalesced private-state
@@ -1109,12 +1218,12 @@ impl<'a> WorkerCtx<'a> {
         apply_sync(&mut self.locals[data], delta);
     }
 
-    /// Consumes the context into the worker's report; `lp` is the
-    /// worker's whole loop.
-    pub(crate) fn finish(self, lp: LoopSpan) -> WorkerReport {
+    /// Ends the worker's loop and consumes the context into its report.
+    pub(crate) fn finish(self) -> WorkerReport {
+        let lp = self.loop_clock.stop();
         let loop_time = lp.time;
         let (task_time, retry_time) = self.clock.finish(lp, self.idle_time);
-        if let Some(rec) = self.rec {
+        if let Some(rec) = self.env.rec {
             rec.add_retry_ns(retry_time.as_nanos() as u64);
         }
         let ops = self.ops;
@@ -1145,9 +1254,9 @@ impl<'a> WorkerCtx<'a> {
 /// datum is counted once, by whoever set the bit first). Each newly-set
 /// bit is also recorded in the worker's flight ring, attributed to
 /// `task` — the producer whose failure (or poisoned input) spread it.
-pub(crate) fn poison_writes(
+fn poison_writes(
     rec: &RecoveryCtx,
-    task: rio_stf::TaskId,
+    task: TaskId,
     accesses: &[Access],
     ctr: Option<&WorkerCounters>,
     ring: Option<&FlightRing>,
@@ -1166,23 +1275,21 @@ pub(crate) fn poison_writes(
     }
 }
 
-/// Runs one task body under `rec`'s retry policy — shared by the
-/// interpreted/compiled engine ([`WorkerCtx`]) and the hybrid worker
-/// loop. Panicking attempts are retried with capped exponential backoff
-/// until the policy's `max_retries` or per-task `deadline` is exhausted;
-/// a permanent failure is recorded in `rec` and the task's written data
-/// poisoned. Returns `None` on permanent failure (the caller still
-/// terminates every access — skip-but-sync), `Some(span)` on success.
-/// The winning attempt's time is counted in `clock`; `span` is its
-/// `Instant` span when it took one, for the trace and the span log.
-/// Attempt 0 is timed exactly like an abort-path body, so an armed
-/// policy costs nothing measurable per task. Without `measure_time`, the
-/// first failed attempt's body is the one interval `retry_time` cannot
-/// include; every later attempt and every backoff sleep is timed
-/// regardless.
+/// Runs one task body under `rec`'s retry policy. Panicking attempts are
+/// retried with capped exponential backoff until the policy's
+/// `max_retries` or per-task `deadline` is exhausted; a permanent failure
+/// is recorded in `rec` and the task's written data poisoned. Returns
+/// `None` on permanent failure (the caller still terminates every access
+/// — skip-but-sync), `Some(span)` on success. The winning attempt's time
+/// is counted in `clock`; `span` is its `Instant` span when it took one,
+/// for the trace and the span log. Attempt 0 is timed exactly like an
+/// abort-path body, so an armed policy costs nothing measurable per task.
+/// Without `measure_time`, the first failed attempt's body is the one
+/// interval `retry_time` cannot include; every later attempt and every
+/// backoff sleep is timed regardless.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn run_body_with_recovery<K>(
+fn run_body_with_recovery<K>(
     cfg: &RioConfig,
     rec: &RecoveryCtx,
     kernel: &K,
@@ -1194,13 +1301,13 @@ pub(crate) fn run_body_with_recovery<K>(
     clock: &mut TaskClock,
 ) -> Option<Option<(Instant, Instant)>>
 where
-    K: Fn(WorkerId, &TaskDesc) + Sync,
+    K: Fn(WorkerId, &TaskDesc) + Sync + ?Sized,
 {
     // Fast path: attempt 0, shaped exactly like the abort path — one
     // `catch_unwind`, the same clock, no retry bookkeeping. The deadline
     // clock is the one extra a policy that sets a deadline opts into.
     let first_start = rec.policy.deadline.is_some().then(Instant::now);
-    let body = std::panic::AssertUnwindSafe(|| {
+    let body = AssertUnwindSafe(|| {
         #[cfg(feature = "fault-inject")]
         if let Some(hook) = cfg.fault_hook.as_ref() {
             hook.before_attempt(me, t.id, 0);
@@ -1208,7 +1315,7 @@ where
         kernel(me, t)
     });
     let t0 = clock.start();
-    match std::panic::catch_unwind(body) {
+    match catch_unwind(body) {
         Ok(()) => Some(clock.stop(t0)),
         Err(payload) => {
             // Attempt 0's failed body is retry time: on the deadline clock
@@ -1258,7 +1365,7 @@ fn retry_after_failure<K>(
     first_ns: u64,
 ) -> Option<Option<(Instant, Instant)>>
 where
-    K: Fn(WorkerId, &TaskDesc) + Sync,
+    K: Fn(WorkerId, &TaskDesc) + Sync + ?Sized,
 {
     #[cfg(not(feature = "fault-inject"))]
     let _ = cfg;
@@ -1279,11 +1386,11 @@ where
             // admitted dependent sees the bits.
             let detail = match policy.deadline {
                 Some(deadline) if timed_out && attempt < policy.max_retries => {
-                    rio_stf::FailureDetail::TaskTimedOut { spent, deadline }
+                    FailureDetail::TaskTimedOut { spent, deadline }
                 }
-                _ => rio_stf::FailureDetail::TaskFailed { payload },
+                _ => FailureDetail::TaskFailed { payload },
             };
-            rec.record_failed(rio_stf::FailedTask {
+            rec.record_failed(FailedTask {
                 task: t.id,
                 worker: me,
                 retries: attempt,
@@ -1306,7 +1413,7 @@ where
             std::thread::sleep(backoff);
             recover_ns += s0.elapsed().as_nanos() as u64;
         }
-        let body = std::panic::AssertUnwindSafe(|| {
+        let body = AssertUnwindSafe(|| {
             #[cfg(feature = "fault-inject")]
             if let Some(hook) = cfg.fault_hook.as_ref() {
                 hook.before_attempt(me, t.id, attempt);
@@ -1314,7 +1421,7 @@ where
             kernel(me, t)
         });
         let t0 = Instant::now();
-        match std::panic::catch_unwind(body) {
+        match catch_unwind(body) {
             Ok(()) => {
                 let t1 = Instant::now();
                 rec.add_retry_ns(recover_ns);
@@ -1329,73 +1436,58 @@ where
     }
 }
 
-/// The per-worker flow loop shared by [`execute_graph_impl`] and the
-/// pruned variant: when `visit` is `Some`, only the listed flow indices are
-/// walked (they must include every task whose accesses this worker needs
-/// to register — see [`crate::pruning`]). Both cases interpret the flow
-/// through the same [`WorkerCtx`] engine; a visit list merely restricts
-/// the walk (the degenerate form of the compilation in
-/// [`crate::compile`], which additionally coalesces the declares).
+/// The interpreted flow walk behind the plain, pruned and hybrid paths:
+/// `ctx`'s worker walks the flow — only the flow indices in `visit` when
+/// given, a pruned walk (see [`crate::pruning`]) — runs the tasks `pmap`
+/// maps to it and declares the rest. A task `pmap` leaves unmapped is
+/// claimed at run time, the paper's §6 hybrid: every worker that reaches
+/// it races one CAS on its slot in `claims` (the steal layer's
+/// [`ClaimTable`]); the winner runs it and the losers declare it, which is
+/// skip-but-sync as for a stolen task (DESIGN.md §14). Static paths pass
+/// [`Total`] and no claim table.
 ///
 /// Fault containment: the kernel runs under `catch_unwind`; the first
 /// failure (body panic, or watchdog-diagnosed stall) records its
-/// [`AbortCause`] in `abort` and wakes every parked worker. Every worker
-/// abandons the flow at its next wait or before its next own task, so no
-/// task body starts after the abort is observed. The caller converts the
-/// recorded cause into an [`ExecError`] after joining.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn worker_loop<M, K>(
-    cfg: &RioConfig,
+/// [`AbortCause`] in the run's abort flag and wakes every parked worker.
+/// Every worker abandons the flow at its next wait or before its next own
+/// task, so no task body starts after the abort is observed. The run
+/// shell converts the recorded cause into an [`ExecError`] after joining.
+pub(crate) fn worker_loop<P, K>(
+    mut ctx: WorkerCtx<'_>,
     graph: &TaskGraph,
-    mapping: &M,
-    shared: &[SharedDataState],
+    pmap: &P,
     kernel: &K,
-    me: WorkerId,
     visit: Option<&[u32]>,
-    abort: &AbortFlag,
-    status: &StatusTable,
-    epoch: Instant,
-    registry: Option<&CounterRegistry>,
-    flight: Option<&FlightRecorder>,
-    rec: Option<&RecoveryCtx>,
-    steal: Option<StealState<'_>>,
+    claims: Option<(&ClaimTable, u32)>,
 ) -> WorkerReport
 where
-    M: Mapping + ?Sized,
+    P: PartialMapping + ?Sized,
     K: Fn(WorkerId, &TaskDesc) + Sync,
 {
-    // Bind this thread to its node's parking shard (and optionally its
-    // core) before any protocol traffic.
-    crate::topo::enter_worker(cfg, me.index());
-    let mut ctx = WorkerCtx::new(
-        cfg,
-        graph.num_data(),
-        shared,
-        me,
-        abort,
-        status,
-        epoch,
-        registry,
-        flight,
-        rec,
-    );
-    ctx.steal = steal;
-    let cursor = steal.and_then(|st| match st.scan {
+    let me = ctx.me;
+    let workers = ctx.env.cfg.workers;
+    let cursor = ctx.steal.and_then(|st| match st.scan {
         ScanSource::Flow { cursors, .. } => Some(&cursors[me.index()].0),
         _ => None,
     });
-
-    let loop_clock = LoopClock::start();
     // Returns `false` when the run aborted and the worker must stop.
     let step = |ctx: &mut WorkerCtx<'_>, t: &TaskDesc| -> bool {
         ctx.tasks_visited += 1;
-        let executor = mapping.worker_of(t.id, cfg.workers);
-        debug_assert!(
-            executor.index() < cfg.workers,
-            "mapping sent {} to non-existent {executor}",
-            t.id
-        );
-        if executor == me {
+        let mine = match pmap.worker_of(t.id, workers) {
+            Some(owner) => {
+                debug_assert!(
+                    owner.index() < workers,
+                    "mapping sent {} to non-existent {owner}",
+                    t.id
+                );
+                owner == me
+            }
+            None => {
+                let (claims, epoch) = claims.expect("an unmapped task needs a claim table");
+                claims.try_claim(t.id.index(), epoch, me.index() as u32)
+            }
+        };
+        if mine {
             // Publish this worker's flow position so thieves know where
             // the unclaimed frontier can start. Publishing on own tasks
             // only keeps the armed-but-idle cost off the declare fast
@@ -1409,7 +1501,7 @@ where
             }
             ctx.exec_task(kernel, t, &t.accesses)
         } else {
-            ctx.declare_task(t);
+            ctx.declare(t.id, &t.accesses);
             true
         }
     };
@@ -1439,8 +1531,7 @@ where
     if let Some(c) = cursor {
         c.store(graph.len(), std::sync::atomic::Ordering::Relaxed);
     }
-
-    ctx.finish(loop_clock.stop())
+    ctx.finish()
 }
 
 #[cfg(test)]
@@ -1649,13 +1740,13 @@ mod tests {
     /// Runs `tasks` tasks on 2 round-robin workers (hybrid: all claimed at
     /// run time) through `path`. Task `i` writes `D(data(i))` and runs
     /// `body` on its worker.
-    fn run_on(
+    fn try_run_on(
         path: Path,
         c: &RioConfig,
         tasks: u32,
         data: impl Fn(u32) -> u32 + Sync,
         body: &(dyn Fn(WorkerId) + Sync),
-    ) -> ExecReport {
+    ) -> Result<ExecReport, ExecError> {
         use crate::executor::Executor;
         use crate::redux::{RAccess, ReduxRio};
         let num_data = (0..tasks).map(&data).max().map_or(0, |d| d as usize + 1);
@@ -1668,22 +1759,92 @@ mod tests {
         let exec = Executor::new(c.clone()).mapping(&RoundRobin);
         let store = DataStore::from_vec(vec![0u8; num_data]);
         match path {
-            Path::Interpreted => exec.run(&g, kernel).report,
-            Path::Pruned => exec.pruning(true).run(&g, kernel).report,
-            Path::Compiled => exec.compile(&g).run(kernel).report,
-            Path::Hybrid => exec.hybrid(&crate::hybrid::Unmapped).run(&g, kernel).report,
-            Path::Flow => crate::flow::Rio::new(c.clone()).run(&store, &RoundRobin, |ctx| {
+            Path::Interpreted => exec.try_run(&g, kernel).map(|r| r.report),
+            Path::Pruned => exec.pruning(true).try_run(&g, kernel).map(|r| r.report),
+            Path::Compiled => exec.compile(&g).try_run(kernel).map(|r| r.report),
+            Path::Hybrid => exec
+                .hybrid(&crate::hybrid::Unmapped)
+                .try_run(&g, kernel)
+                .map(|r| r.report),
+            Path::Flow => crate::flow::Rio::new(c.clone()).try_run(&store, &RoundRobin, |ctx| {
                 for i in 0..tasks {
                     let me = ctx.worker();
                     ctx.task(&[Access::read_write(DataId(data(i)))], move |_| body(me));
                 }
             }),
-            Path::Redux => ReduxRio::new(c.clone()).run(&store, &RoundRobin, |ctx| {
+            Path::Redux => ReduxRio::new(c.clone()).try_run(&store, &RoundRobin, |ctx| {
                 for i in 0..tasks {
                     let me = ctx.worker();
                     ctx.task(&[RAccess::read_write(DataId(data(i)))], move |_| body(me));
                 }
             }),
+        }
+    }
+
+    /// [`try_run_on`], panicking on an error.
+    fn run_on(
+        path: Path,
+        c: &RioConfig,
+        tasks: u32,
+        data: impl Fn(u32) -> u32 + Sync,
+        body: &(dyn Fn(WorkerId) + Sync),
+    ) -> ExecReport {
+        try_run_on(path, c, tasks, data, body).unwrap_or_else(|e| e.resume())
+    }
+
+    #[test]
+    fn stealing_is_honoured_or_rejected_before_any_body_runs() {
+        let c = cfg(2).stealing(crate::steal::StealPolicy::new());
+        for path in PATHS {
+            let ran = AtomicU64::new(0);
+            let body = |_: WorkerId| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            };
+            let result = try_run_on(path, &c, 16, |_| 0, &body);
+            if matches!(path, Path::Interpreted | Path::Compiled) {
+                let report = result.unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                assert_eq!(report.tasks_executed(), 16, "{path:?}");
+                assert_eq!(ran.load(Ordering::Relaxed), 16, "{path:?}");
+            } else {
+                let err = result.err().unwrap_or_else(|| panic!("{path:?} ran armed"));
+                assert_eq!(err.kind(), "unsupported-option", "{path:?}");
+                assert!(err.to_string().contains("RioConfig::stealing"), "{err}");
+                assert_eq!(ran.load(Ordering::Relaxed), 0, "{path:?} ran a body");
+            }
+        }
+        // The panicking wrappers render the error.
+        for path in [Path::Flow, Path::Redux] {
+            let payload = std::panic::catch_unwind(|| run_on(path, &c, 1, |_| 0, &|_| {}))
+                .expect_err("an armed policy must be rejected");
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(msg.contains("is not supported on the"), "{path:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn every_path_binds_its_workers_to_their_nodes() {
+        // Two workers on two mocked nodes: worker `w` must park in (and
+        // so run its bodies bound to) node `w`'s shard.
+        let topo = std::sync::Arc::new(crate::topo::Topology::mock(2, 1));
+        let c = cfg(2).topology(topo);
+        for path in PATHS {
+            let (ran, wrong) = (AtomicU64::new(0), AtomicU64::new(0));
+            let body = |me: WorkerId| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if crate::park::current_shard() != me.index() {
+                    wrong.fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            run_on(path, &c, 32, |i| i, &body);
+            assert_eq!(ran.load(Ordering::Relaxed), 32, "{path:?}");
+            assert_eq!(
+                wrong.load(Ordering::Relaxed),
+                0,
+                "{path:?}: bodies off their node"
+            );
         }
     }
 

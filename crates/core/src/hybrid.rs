@@ -6,9 +6,13 @@
 //! the rest unmapped. Mapped tasks execute exactly as in the plain
 //! decentralized in-order model. Unmapped tasks are **claimed** at run
 //! time: every worker, when its in-order walk reaches an unmapped task,
-//! races a single compare-and-swap on the task's claim word — the winner
-//! executes the task, the losers treat it like somebody else's task (one
-//! or two private writes, as usual).
+//! races a single compare-and-swap on the task's slot in a
+//! [`crate::steal::ClaimTable`] — the steal layer's claim, `AcqRel` — and
+//! the winner executes the task while the losers treat it like somebody
+//! else's task (one or two private writes, as usual: skip-but-sync, as
+//! for a stolen task). The walk itself is the interpreted one
+//! (`graph::worker_loop`); a total mapping is the special case
+//! [`Total`] with nothing left to claim.
 //!
 //! Why this is a faithful hybrid:
 //!
@@ -19,7 +23,7 @@
 //! * claiming is self-balancing: workers that run long tasks lag behind
 //!   in the flow, so the *least loaded* worker tends to reach (and win)
 //!   the next unmapped task first — dynamic load balancing without a
-//!   master, a scheduler, or task storage beyond one word per unmapped
+//!   master, a scheduler, or task storage beyond one claim slot per
 //!   task;
 //! * the cost is one shared CAS per unmapped task per worker (lost races
 //!   are a single failed CAS), restoring a slice of the out-of-order
@@ -33,26 +37,12 @@
 //! waiting on tasks before `t*`, and by induction those complete, so some
 //! worker reaches and claims `t*`.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::{Duration, Instant};
+use rio_stf::{ExecError, Mapping, MappingError, TaskDesc, TaskGraph, TaskId, WorkerId};
 
-use rio_stf::{
-    DataId, ExecError, FlightEventKind, Mapping, MappingError, TaskDesc, TaskGraph, TaskId,
-    WorkerId,
-};
-
-use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
-use crate::graph::{poison_writes, run_body_with_recovery, stall_diagnostic};
-use crate::protocol::{
-    declare_read, declare_write, expected_read_word, expected_write_word, get_read_word_cx,
-    get_write_word_cx, terminate_read, terminate_write, AbortCause, AbortFlag, LocalDataState,
-    RecoveryCtx, SharedDataState, WaitVerdict, READ_EPOCH_MASK, WRITE_EPOCH_MASK,
-};
-use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::status::StatusTable;
-use crate::trace_api::WorkerTracer;
-use crate::wait::WaitPlan;
+use crate::graph::{reject_stealing, run_workers, worker_loop};
+use crate::report::ExecReport;
+use crate::steal::ClaimTable;
 
 /// A mapping that may leave tasks unassigned (`None` = decided at run
 /// time by claiming).
@@ -105,8 +95,6 @@ pub struct HybridStats {
     /// Failed claim attempts (lost races) per worker.
     pub lost_races_per_worker: Vec<u64>,
 }
-
-const UNCLAIMED: u32 = u32::MAX;
 
 /// Pre-flight validation of a partial mapping, mirroring
 /// [`rio_stf::validate_mapping`]: probes every task twice and rejects
@@ -195,401 +183,33 @@ where
     P: PartialMapping + ?Sized,
     K: Fn(WorkerId, &TaskDesc) + Sync,
 {
-    cfg.validate();
+    reject_stealing(cfg, "hybrid")?;
     if cfg.preflight {
         validate_partial_mapping(pmap, graph.len(), cfg.workers)?;
     }
-    let shared = SharedDataState::new_table(graph.num_data());
-    let claims: Box<[AtomicU32]> = (0..graph.len())
-        .map(|_| AtomicU32::new(UNCLAIMED))
-        .collect();
-    let abort = &AbortFlag::new();
-    let status = &StatusTable::new(cfg.workers);
-    let kernel = &kernel;
-    let shared = &shared;
-    let claims = &claims;
-    let registry = crate::counters::CounterRegistry::for_run(cfg);
-    let registry = registry.as_deref();
-    let flight = crate::flight::FlightRecorder::for_run(cfg);
-    let flight = flight.as_ref();
-    let recovery = cfg
-        .recovery
-        .clone()
-        .map(|p| RecoveryCtx::new(p, graph.num_data()));
-    let rec = recovery.as_ref();
-
-    let start = Instant::now();
-    let results: Vec<(WorkerReport, u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                s.spawn(move || {
-                    hybrid_worker_loop(
-                        cfg,
-                        graph,
-                        pmap,
-                        shared,
-                        claims,
-                        kernel,
-                        WorkerId::from_index(w),
-                        abort,
-                        status,
-                        start,
-                        registry,
-                        flight,
-                        rec,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    if let Some(cause) = abort.take_cause() {
-        return Err(cause.into_error());
-    }
-
-    let mut stats = HybridStats::default();
-    let mut workers = Vec::with_capacity(results.len());
-    for (report, claimed, lost) in results {
-        stats.claimed_per_worker.push(claimed);
-        stats.lost_races_per_worker.push(lost);
-        workers.push(report);
-    }
-    Ok((
-        ExecReport {
-            wall: start.elapsed(),
-            workers,
-            counters: registry
-                .map(|r| r.snapshot().with_topology(cfg))
-                .unwrap_or_default(),
-        },
-        stats,
-        recovery.and_then(RecoveryCtx::into_report).map(|mut p| {
-            // Workers joined: the dump is exact recording order.
-            if let Some(f) = flight {
-                p.flight = f.dump();
-            }
-            p
-        }),
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hybrid_worker_loop<P, K>(
-    cfg: &RioConfig,
-    graph: &TaskGraph,
-    pmap: &P,
-    shared: &[SharedDataState],
-    claims: &[AtomicU32],
-    kernel: &K,
-    me: WorkerId,
-    abort: &AbortFlag,
-    status: &StatusTable,
-    epoch: Instant,
-    registry: Option<&crate::counters::CounterRegistry>,
-    flight: Option<&crate::flight::FlightRecorder>,
-    rec: Option<&RecoveryCtx>,
-) -> (WorkerReport, u64, u64)
-where
-    P: PartialMapping + ?Sized,
-    K: Fn(WorkerId, &TaskDesc) + Sync,
-{
-    let ctr = registry.map(|r| r.worker(me.index()));
-    let ring = flight.map(|f| f.ring(me.index()));
-    let flight_event = |kind: FlightEventKind, task: TaskId, data: Option<DataId>| {
-        if let Some(r) = ring {
-            r.record(kind, task, data);
+    let claims = ClaimTable::new(graph.len());
+    let epoch = claims.begin_run();
+    let (report, partial, _) = run_workers(cfg, graph.num_data(), graph.num_data(), |env, me| {
+        let claims = Some((&claims, epoch));
+        (
+            worker_loop(env.worker(me), graph, pmap, &kernel, None, claims),
+            (),
+        )
+    })?;
+    // Only unmapped tasks are ever claimed, and on a run that did not
+    // abort every worker raced every one of them once.
+    let mut claimed = vec![0u64; cfg.workers];
+    for i in 0..graph.len() {
+        if let Some(w) = claims.claimant(i, epoch) {
+            claimed[w as usize] += 1;
         }
+    }
+    let unmapped: u64 = claimed.iter().sum();
+    let stats = HybridStats {
+        lost_races_per_worker: claimed.iter().map(|c| unmapped - c).collect(),
+        claimed_per_worker: claimed,
     };
-    let mut locals = vec![LocalDataState::default(); graph.num_data()];
-    let mut ops = OpCounts::default();
-    let mut idle_time = Duration::ZERO;
-    let mut tasks_executed = 0u64;
-    let mut tasks_visited = 0u64;
-    let mut claimed = 0u64;
-    let mut lost_races = 0u64;
-    let mut spans = Vec::new();
-    let plan = WaitPlan::of(cfg);
-    let measure = cfg.measure_time;
-    let record = cfg.record_spans;
-    let wd = cfg.watchdog.is_some();
-    let mut tracer = cfg
-        .trace
-        .as_ref()
-        .map(|tc| WorkerTracer::new(tc, me.index() as u32, epoch));
-    let traced = tracer.is_some();
-    let mut clock = TaskClock::new(measure, record || traced);
-
-    let loop_clock = LoopClock::start();
-    'flow: for t in graph.tasks() {
-        tasks_visited += 1;
-        let mine = match pmap.worker_of(t.id, cfg.workers) {
-            Some(owner) => {
-                debug_assert!(owner.index() < cfg.workers);
-                owner == me
-            }
-            None => {
-                // Race for the claim. Relaxed suffices: the claim word
-                // only decides *who* runs the task; all data
-                // synchronization still flows through the protocol.
-                let won = claims[t.id.index()]
-                    .compare_exchange(
-                        UNCLAIMED,
-                        me.index() as u32,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok();
-                if won {
-                    claimed += 1;
-                } else {
-                    lost_races += 1;
-                }
-                won
-            }
-        };
-
-        if mine {
-            // Containment guarantee: no body starts once the abort is
-            // observed (a dynamically claimed task is simply dropped —
-            // nobody else will run it, but the run is aborting anyway).
-            if abort.armed() {
-                break 'flow;
-            }
-            for a in &t.accesses {
-                ops.gets += 1;
-                let s = &shared[a.data.index()];
-                let l = &locals[a.data.index()];
-                let writes = a.mode.writes();
-                let (expected, mask) = if writes {
-                    (expected_write_word(l), WRITE_EPOCH_MASK)
-                } else {
-                    (expected_read_word(l), READ_EPOCH_MASK)
-                };
-                // Poll first: a ready get takes no clock and no status
-                // write.
-                if s.satisfied(expected, mask) {
-                    continue;
-                }
-                let wait_start = (measure || traced || wd).then(Instant::now);
-                if wd {
-                    status.begin_wait(me, a.data);
-                }
-                let cx = plan.cx(a.data.index(), cfg.watchdog, abort);
-                let wr = if writes {
-                    get_write_word_cx(s, expected, &cx)
-                } else {
-                    get_read_word_cx(s, expected, &cx)
-                };
-                if wd {
-                    status.end_wait(me);
-                }
-                let wo = wr.outcome;
-                if wo.polls > 0 {
-                    ops.waits += 1;
-                    ops.poll_loops += wo.polls;
-                    if let Some(c) = ctr {
-                        c.add_spins(wo.polls);
-                        c.add_parks(wo.parks);
-                    }
-                    if wo.parks > 0 {
-                        flight_event(FlightEventKind::Park, t.id, Some(a.data));
-                    }
-                    if let Some(t0) = wait_start {
-                        let t1 = Instant::now();
-                        if measure {
-                            idle_time += t1.duration_since(t0);
-                        }
-                        if let Some(tr) = tracer.as_mut() {
-                            tr.wait(t.id, a.data, writes, t0, t1, wo.polls, wo.parks);
-                        }
-                    }
-                }
-                match wr.verdict {
-                    WaitVerdict::Ready => {}
-                    WaitVerdict::Aborted => break 'flow,
-                    WaitVerdict::DeadlineExceeded => {
-                        let waited = wait_start
-                            .map(|t0| t0.elapsed())
-                            .or(cfg.watchdog)
-                            .unwrap_or_default();
-                        flight_event(FlightEventKind::Abort, t.id, Some(a.data));
-                        let diag =
-                            stall_diagnostic(me, t.id, a, l, s, waited, status, registry, flight);
-                        if let Some(c) = ctr {
-                            c.inc_aborts();
-                        }
-                        abort.abort(AbortCause::Stall(diag), shared);
-                        break 'flow;
-                    }
-                }
-            }
-
-            flight_event(FlightEventKind::TaskStart, t.id, None);
-            let ran = match rec {
-                None => {
-                    // Abort semantics (no recovery policy): the first
-                    // panic ends the whole run.
-                    let body = std::panic::AssertUnwindSafe(|| {
-                        #[cfg(feature = "fault-inject")]
-                        if let Some(hook) = cfg.fault_hook.as_ref() {
-                            hook.before_task(me, t.id);
-                        }
-                        kernel(me, t)
-                    });
-                    let start = clock.start();
-                    let outcome = std::panic::catch_unwind(body);
-                    let body_span = clock.stop(start);
-                    if let Err(payload) = outcome {
-                        flight_event(FlightEventKind::Abort, t.id, None);
-                        if let Some(c) = ctr {
-                            c.inc_aborts();
-                        }
-                        abort.abort(
-                            AbortCause::Panic {
-                                task: t.id,
-                                worker: me,
-                                payload,
-                            },
-                            shared,
-                        );
-                        break 'flow;
-                    }
-                    if let Some((t0, t1)) = body_span {
-                        if record {
-                            spans.push(rio_stf::validate::Span {
-                                task: t.id,
-                                start: t0.duration_since(epoch).as_nanos() as u64,
-                                end: t1.duration_since(epoch).as_nanos() as u64,
-                            });
-                        }
-                        if let Some(tr) = tracer.as_mut() {
-                            tr.task(t.id, t0, t1);
-                        }
-                    }
-                    true
-                }
-                // Degraded mode: same skip-but-sync semantics as the
-                // static engine ([`crate::graph::WorkerCtx`]) — the gets
-                // above admitted every access, so upstream poison is
-                // visible here.
-                Some(rec) if t.accesses.iter().any(|a| rec.is_poisoned(a.data)) => {
-                    rec.record_skipped(t.id);
-                    poison_writes(rec, t.id, &t.accesses, ctr, ring);
-                    false
-                }
-                Some(rec) => {
-                    match run_body_with_recovery(
-                        cfg,
-                        rec,
-                        kernel,
-                        me,
-                        t,
-                        &t.accesses,
-                        ctr,
-                        ring,
-                        &mut clock,
-                    ) {
-                        Some(span) => {
-                            if let Some((t0, t1)) = span {
-                                if record {
-                                    spans.push(rio_stf::validate::Span {
-                                        task: t.id,
-                                        start: t0.duration_since(epoch).as_nanos() as u64,
-                                        end: t1.duration_since(epoch).as_nanos() as u64,
-                                    });
-                                }
-                                if let Some(tr) = tracer.as_mut() {
-                                    tr.task(t.id, t0, t1);
-                                }
-                            }
-                            true
-                        }
-                        None => false,
-                    }
-                }
-            };
-            if ran {
-                tasks_executed += 1;
-                if let Some(c) = ctr {
-                    c.inc_tasks();
-                }
-                flight_event(FlightEventKind::TaskEnd, t.id, None);
-            }
-            if wd {
-                let (steals, retries) = ctr.map_or((0, 0), |c| (c.steals(), c.retries()));
-                status.completed(me, t.id, tasks_executed, steals, retries);
-            }
-
-            // Skip-but-sync: terminates run regardless of `ran`, so a
-            // failed or skipped task still publishes its epoch advances.
-            for a in &t.accesses {
-                ops.terminates += 1;
-                let s = &shared[a.data.index()];
-                let l = &mut locals[a.data.index()];
-                let strategy = plan.strategy(a.data.index());
-                let elided = if a.mode.writes() {
-                    terminate_write(s, l, t.id, strategy)
-                } else {
-                    terminate_read(s, l, strategy)
-                };
-                if elided {
-                    if let Some(c) = ctr {
-                        c.inc_wakes_elided();
-                    }
-                }
-            }
-
-            #[cfg(feature = "fault-inject")]
-            if let Some(hook) = cfg.fault_hook.as_ref() {
-                if hook.spurious_wake_after(me, t.id) {
-                    crate::protocol::spurious_wake_all(shared);
-                }
-            }
-        } else {
-            for a in &t.accesses {
-                ops.declares += 1;
-                let l = &mut locals[a.data.index()];
-                if a.mode.writes() {
-                    declare_write(l, t.id);
-                } else {
-                    declare_read(l);
-                }
-            }
-        }
-    }
-
-    let lp = loop_clock.stop();
-    let loop_time = lp.time;
-    let (task_time, retry_time) = clock.finish(lp, idle_time);
-    if let Some(rec) = rec {
-        rec.add_retry_ns(retry_time.as_nanos() as u64);
-    }
-    let trace = tracer.map(|tr| {
-        let mut wt = tr.finish();
-        wt.declares = ops.declares;
-        wt.gets = ops.gets;
-        wt.terminates = ops.terminates;
-        wt.loop_ns = loop_time.as_nanos() as u64;
-        wt
-    });
-    (
-        WorkerReport {
-            worker: me,
-            tasks_executed,
-            tasks_visited,
-            task_time,
-            idle_time,
-            loop_time,
-            ops,
-            spans,
-            trace,
-        },
-        claimed,
-        lost_races,
-    )
+    Ok((report, stats, partial))
 }
 
 #[cfg(test)]
@@ -597,7 +217,8 @@ mod tests {
     use super::execute_graph_hybrid_impl as execute_graph_hybrid;
     use super::*;
     use rio_stf::{Access, DataId, DataStore, RoundRobin};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
     fn cfg(workers: usize) -> RioConfig {
         RioConfig::with_workers(workers)

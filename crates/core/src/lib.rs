@@ -34,6 +34,10 @@
 //!   SuperGlue): commutative *accumulation* accesses that relax in-order
 //!   execution for reductions.
 //!
+//! Every entry point runs its tasks through one engine and spawns its
+//! workers through one run shell ([`graph`]), so a [`RioConfig`] option
+//! is honoured on every path or rejected before any worker spawns.
+//!
 //! [`Executor`] is the only run entry point — the historical free
 //! functions (`execute_graph`, `execute_graph_pruned`,
 //! `execute_graph_hybrid`) have been removed. The variant modules

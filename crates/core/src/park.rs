@@ -60,10 +60,11 @@ const EMPTY_BUCKET: Bucket = Bucket {
 static TABLE: [Bucket; MAX_NODE_SHARDS * BUCKETS] = [EMPTY_BUCKET; MAX_NODE_SHARDS * BUCKETS];
 
 thread_local! {
-    /// The shard this thread parks in. Worker threads set it on entry
-    /// ([`crate::topo::enter_worker`]); threads that never do (tests,
-    /// hybrid callers) default to shard 0, which reproduces the
-    /// pre-sharding global table.
+    /// The shard this thread parks in. Every path's worker threads set
+    /// it on entry ([`crate::topo::enter_worker`], called by the run
+    /// shell); threads that never do (tests driving the protocol
+    /// directly) default to shard 0, which reproduces the pre-sharding
+    /// global table.
     static CURRENT_SHARD: Cell<usize> = const { Cell::new(0) };
 }
 

@@ -237,15 +237,14 @@ impl AbortFlag {
         self.armed.load(Ordering::Acquire)
     }
 
-    /// Arms the flag and wakes every worker parked on any data object of
-    /// `_table` so they can observe it.
+    /// Arms the flag and wakes every parked worker so it can observe it.
     ///
     /// With address-keyed parking this broadcasts through every parking
-    /// bucket — O(buckets), independent of the table size — rather than
+    /// bucket — O(buckets), independent of any table size — rather than
     /// walking the data objects. Waiters of unrelated runs absorb the
     /// resulting spurious wakes by re-checking their own condition.
     #[cold]
-    pub fn arm_and_wake(&self, _table: &[SharedDataState]) {
+    pub fn arm_and_wake(&self) {
         self.arm();
         park::unpark_everything();
     }
@@ -253,14 +252,14 @@ impl AbortFlag {
     /// Records `cause` (first failure wins), arms the flag and wakes every
     /// parked worker. Returns `true` if this call's cause was recorded.
     #[cold]
-    pub fn abort(&self, cause: AbortCause, table: &[SharedDataState]) -> bool {
+    pub fn abort(&self, cause: AbortCause) -> bool {
         let mut slot = self.cause.lock();
         let won = slot.is_none();
         if won {
             *slot = Some(cause);
         }
         drop(slot);
-        self.arm_and_wake(table);
+        self.arm_and_wake();
         won
     }
 
@@ -1428,26 +1427,19 @@ mod tests {
     #[test]
     fn abort_records_the_first_cause_only() {
         let flag = AbortFlag::new();
-        let table = SharedDataState::new_table(2);
         assert!(!flag.armed());
-        let won = flag.abort(
-            AbortCause::Panic {
-                task: TaskId(3),
-                worker: WorkerId(1),
-                payload: Box::new("first"),
-            },
-            &table,
-        );
+        let won = flag.abort(AbortCause::Panic {
+            task: TaskId(3),
+            worker: WorkerId(1),
+            payload: Box::new("first"),
+        });
         assert!(won);
         assert!(flag.armed());
-        let lost = flag.abort(
-            AbortCause::Panic {
-                task: TaskId(9),
-                worker: WorkerId(0),
-                payload: Box::new("second"),
-            },
-            &table,
-        );
+        let lost = flag.abort(AbortCause::Panic {
+            task: TaskId(9),
+            worker: WorkerId(0),
+            payload: Box::new("second"),
+        });
         assert!(!lost, "first failure wins");
         match flag.take_cause() {
             Some(AbortCause::Panic { task, worker, .. }) => {
@@ -1472,7 +1464,7 @@ mod tests {
             get_read_cx(&s, &local, &cx).verdict
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        flag.arm_and_wake(std::slice::from_ref(&shared));
+        flag.arm_and_wake();
         assert_eq!(waiter.join().unwrap(), WaitVerdict::Aborted);
     }
 

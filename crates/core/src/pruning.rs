@@ -24,10 +24,9 @@
 use rio_stf::{ExecError, Mapping, TaskDesc, TaskGraph, WorkerId};
 
 use crate::config::RioConfig;
-use crate::graph::worker_loop;
-use crate::protocol::{AbortFlag, SharedDataState};
+use crate::graph::{reject_stealing, run_workers, worker_loop};
+use crate::hybrid::Total;
 use crate::report::ExecReport;
-use crate::status::StatusTable;
 
 /// Statistics of a pruning pre-pass.
 #[derive(Debug, Clone)]
@@ -184,83 +183,21 @@ where
     M: Mapping + ?Sized,
     K: Fn(WorkerId, &TaskDesc) + Sync,
 {
-    cfg.validate();
+    reject_stealing(cfg, "pruned")?;
     if cfg.preflight {
         rio_stf::validate_mapping(mapping, graph.len(), cfg.workers)?;
     }
     let lists = compute_visit_lists(graph, mapping, cfg.workers);
     let stats = prune_stats(graph, &lists);
-    let shared = SharedDataState::new_table(graph.num_data());
-    let kernel = &kernel;
-    let shared = &shared;
-    let lists = &lists;
-    let abort = &AbortFlag::new();
-    let status = &StatusTable::new(cfg.workers);
-    let registry = crate::counters::CounterRegistry::for_run(cfg);
-    let registry = registry.as_deref();
-    let flight = crate::flight::FlightRecorder::for_run(cfg);
-    let flight = flight.as_ref();
-    let recovery = cfg
-        .recovery
-        .clone()
-        .map(|p| crate::protocol::RecoveryCtx::new(p, graph.num_data()));
-    let rec = recovery.as_ref();
-
-    let start = std::time::Instant::now();
-    let workers = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let me = WorkerId::from_index(w);
-                    worker_loop(
-                        cfg,
-                        graph,
-                        mapping,
-                        shared,
-                        kernel,
-                        me,
-                        Some(&lists[w]),
-                        abort,
-                        status,
-                        start,
-                        registry,
-                        flight,
-                        rec,
-                        // Pruned visit lists elide irrelevant declares, so a
-                        // thief's overlay pricing would read stale private
-                        // views: the pruned path never steals.
-                        None,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    if let Some(cause) = abort.take_cause() {
-        return Err(cause.into_error());
-    }
-    Ok((
-        ExecReport {
-            wall: start.elapsed(),
-            workers,
-            counters: registry
-                .map(|r| r.snapshot().with_topology(cfg))
-                .unwrap_or_default(),
-        },
-        stats,
-        recovery
-            .and_then(crate::protocol::RecoveryCtx::into_report)
-            .map(|mut p| {
-                // Workers joined: the dump is exact recording order.
-                if let Some(f) = flight {
-                    p.flight = f.dump();
-                }
-                p
-            }),
-    ))
+    let (report, partial, _) = run_workers(cfg, graph.num_data(), graph.num_data(), |env, me| {
+        let visit = Some(&lists[me.index()][..]);
+        let mapping = &Total(mapping);
+        (
+            worker_loop(env.worker(me), graph, mapping, &kernel, visit, None),
+            (),
+        )
+    })?;
+    Ok((report, stats, partial))
 }
 
 #[cfg(test)]

@@ -48,18 +48,18 @@
 //! ```
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use rio_stf::store::{ReadGuard, WriteGuard};
-use rio_stf::{DataId, DataStore, Mapping, TaskId, WorkerId};
+use rio_stf::{DataId, DataStore, ExecError, Mapping, TaskId, WorkerId};
 
-use crate::clock::{LoopClock, TaskClock};
 use crate::config::RioConfig;
+use crate::graph::{abandon_flow, reject_stealing, run_workers, WorkerCtx};
 use crate::park;
-use crate::protocol::{spin_phase, WaitOutcome};
-use crate::report::{ExecReport, OpCounts, WorkerReport};
-use crate::wait::{WaitPlan, WaitPolicy, WaitStrategy};
+use crate::protocol::{spin_phase, AbortFlag, WaitOutcome, WaitResult, WaitVerdict};
+use crate::report::ExecReport;
+use crate::wait::{WaitPolicy, WaitStrategy};
 
 /// Access modes of the reduction-extended model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,53 +173,66 @@ impl RShared {
         }
     }
 
-    /// Waits until `cond` holds under `policy`: the spin phase every
-    /// wait shares ([`crate::protocol`]'s `spin_phase`) for `policy.spin`,
-    /// then `policy.strategy`. The closure receives the memory ordering
-    /// it must use for its loads: `Acquire` on the fast/spin paths,
-    /// `SeqCst` for the parked re-check that anchors the wake-elision
-    /// argument.
+    /// Waits until `cond` holds under `policy`, or until `abort` is
+    /// armed: the spin phase every wait shares ([`crate::protocol`]'s
+    /// `spin_phase`) for `policy.spin`, then `policy.strategy`. The
+    /// closure receives the memory ordering it must use for its loads:
+    /// `Acquire` on the fast/spin paths, `SeqCst` for the parked re-check
+    /// that anchors the wake-elision argument.
     #[inline]
-    fn wait_until(&self, policy: WaitPolicy, cond: impl Fn(Ordering) -> bool) -> WaitOutcome {
-        if cond(Ordering::Acquire) {
-            return WaitOutcome::default();
-        }
-        let (mut polls, settled) = spin_phase(Instant::now(), policy.spin, None, || {
+    fn wait_until(
+        &self,
+        policy: WaitPolicy,
+        abort: &AbortFlag,
+        cond: impl Fn(Ordering) -> bool,
+    ) -> WaitResult {
+        let done = |polls, parks, verdict| WaitResult {
+            outcome: WaitOutcome { polls, parks },
+            verdict,
+        };
+        let (mut polls, settled) = spin_phase(Instant::now(), policy.spin, Some(abort), || {
             cond(Ordering::Acquire)
         });
-        if settled.is_some() {
-            return WaitOutcome { polls, parks: 0 };
+        if let Some(verdict) = settled {
+            return done(polls, 0, verdict);
         }
-        match policy.strategy {
-            WaitStrategy::Spin => loop {
-                std::hint::spin_loop();
+        if policy.strategy != WaitStrategy::Park {
+            loop {
+                if policy.strategy == WaitStrategy::Spin {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
                 polls += 1;
                 if cond(Ordering::Acquire) {
-                    return WaitOutcome { polls, parks: 0 };
+                    return done(polls, 0, WaitVerdict::Ready);
                 }
-            },
-            WaitStrategy::SpinYield => loop {
-                std::thread::yield_now();
-                polls += 1;
-                if cond(Ordering::Acquire) {
-                    return WaitOutcome { polls, parks: 0 };
+                if abort.armed() {
+                    return done(polls, 0, WaitVerdict::Aborted);
                 }
-            },
-            WaitStrategy::Park => {
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-                let bucket = park::bucket_for(self.last_executed_write.as_ptr());
-                let mut parks = 0u64;
-                let mut guard = bucket.lock.lock();
-                while !cond(Ordering::SeqCst) {
-                    bucket.cond.wait(&mut guard);
-                    polls += 1;
-                    parks += 1;
-                }
-                drop(guard);
-                self.waiters.fetch_sub(1, Ordering::Release);
-                WaitOutcome { polls, parks }
             }
         }
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let bucket = park::bucket_for(self.last_executed_write.as_ptr());
+        let mut parks = 0u64;
+        let mut guard = bucket.lock.lock();
+        // The abort is re-checked under the bucket lock too: an abort arms
+        // its flag before it takes every bucket's lock to notify, so a
+        // parked waiter either sees the flag here or receives the notify.
+        let verdict = loop {
+            if cond(Ordering::SeqCst) {
+                break WaitVerdict::Ready;
+            }
+            if abort.armed() {
+                break WaitVerdict::Aborted;
+            }
+            bucket.cond.wait(&mut guard);
+            polls += 1;
+            parks += 1;
+        };
+        drop(guard);
+        self.waiters.fetch_sub(1, Ordering::Release);
+        done(polls, parks, verdict)
     }
 }
 
@@ -238,105 +251,80 @@ impl ReduxRio {
 
     /// Replays `flow` on every worker (see [`crate::Rio::run`]); tasks may
     /// additionally declare [`RMode::Accumulate`] accesses.
+    ///
+    /// # Panics
+    /// As [`crate::Rio::run`]: a body's panic propagates with its original
+    /// payload, any other failure with its rendering.
     pub fn run<T, M, F>(&self, store: &DataStore<T>, mapping: &M, flow: F) -> ExecReport
     where
         T: Send,
         M: Mapping,
         F: Fn(&mut ReduxCtx<'_, T>) + Sync,
     {
+        self.try_run(store, mapping, flow)
+            .unwrap_or_else(|e| e.resume())
+    }
+
+    /// Like [`ReduxRio::run`], but a body panic is returned as
+    /// [`ExecError::TaskPanicked`] — after every worker, including one
+    /// waiting on the failed task, abandoned the flow — and a
+    /// [`RioConfig::stealing`] policy as [`ExecError::UnsupportedOption`]
+    /// before any worker spawns.
+    ///
+    /// # Errors
+    /// See [`ExecError`] for the post-abort state guarantees.
+    pub fn try_run<T, M, F>(
+        &self,
+        store: &DataStore<T>,
+        mapping: &M,
+        flow: F,
+    ) -> Result<ExecReport, ExecError>
+    where
+        T: Send,
+        M: Mapping,
+        F: Fn(&mut ReduxCtx<'_, T>) + Sync,
+    {
         let cfg = &self.cfg;
+        reject_stealing(cfg, "reduction")?;
         let mapping: &dyn Mapping = mapping;
         let shared: Box<[RShared]> = (0..store.len()).map(|_| RShared::default()).collect();
-        let shared = &shared;
-        let flow = &flow;
-        let registry = crate::counters::CounterRegistry::for_run(cfg);
-        let registry = registry.as_deref();
-
-        let start = Instant::now();
-        let workers: Vec<WorkerReport> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let me = WorkerId::from_index(w);
-                        let mut ctx = ReduxCtx {
-                            me,
-                            num_workers: cfg.workers,
-                            plan: WaitPlan::of(cfg),
-                            measure: cfg.measure_time,
-                            mapping,
-                            shared,
-                            locals: vec![RLocal::default(); store.len()],
-                            store,
-                            next_task: TaskId::FIRST,
-                            ops: OpCounts::default(),
-                            // No trace or span log: bodies take ticks.
-                            clock: TaskClock::new(cfg.measure_time, false),
-                            idle_time: Duration::ZERO,
-                            tasks_executed: 0,
-                            ctr: registry.map(|r| r.worker(w)),
-                        };
-                        let loop_clock = LoopClock::start();
-                        flow(&mut ctx);
-                        let lp = loop_clock.stop();
-                        let (task_time, _) = ctx.clock.finish(lp, ctx.idle_time);
-                        WorkerReport {
-                            worker: me,
-                            tasks_executed: ctx.tasks_executed,
-                            tasks_visited: ctx.next_task.0 - 1,
-                            task_time,
-                            idle_time: ctx.idle_time,
-                            loop_time: lp.time,
-                            ops: ctx.ops,
-                            spans: Vec::new(),
-                            trace: None,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        ExecReport {
-            wall: start.elapsed(),
-            workers,
-            counters: registry
-                .map(|r| r.snapshot().with_topology(cfg))
-                .unwrap_or_default(),
-        }
+        // The extended protocol keeps its own table, so the engine's
+        // shared table is empty: the engine only runs bodies and tallies.
+        let (report, _, _) = run_workers(cfg, 0, store.len(), |env, me| {
+            let mut ctx = ReduxCtx {
+                mapping,
+                shared: &shared,
+                locals: vec![RLocal::default(); store.len()],
+                store,
+                next_task: TaskId::FIRST,
+                cx: env.worker(me),
+            };
+            flow(&mut ctx);
+            (ctx.cx.finish(), ())
+        })?;
+        Ok(report)
     }
 }
 
 /// Per-worker replay context of the reduction-extended model.
 pub struct ReduxCtx<'a, T> {
-    me: WorkerId,
-    num_workers: usize,
-    /// Every object's wait policy, for waits and terminates alike.
-    plan: WaitPlan<'a>,
-    measure: bool,
     mapping: &'a (dyn Mapping + 'a),
     shared: &'a [RShared],
     locals: Vec<RLocal>,
     store: &'a DataStore<T>,
     next_task: TaskId,
-    ops: OpCounts,
-    clock: TaskClock,
-    idle_time: Duration,
-    tasks_executed: u64,
-    /// Always-on counter line (`None` when disabled).
-    ctr: Option<&'a crate::counters::WorkerCounters>,
+    cx: WorkerCtx<'a>,
 }
 
 impl<'a, T> ReduxCtx<'a, T> {
     /// The worker replaying this flow instance.
     pub fn worker(&self) -> WorkerId {
-        self.me
+        self.cx.me
     }
 
     /// Total number of workers.
     pub fn num_workers(&self) -> usize {
-        self.num_workers
+        self.cx.env.cfg.workers
     }
 
     /// Submits the next task. Semantics as [`crate::FlowCtx::task`], with
@@ -344,114 +332,12 @@ impl<'a, T> ReduxCtx<'a, T> {
     pub fn task(&mut self, accesses: &[RAccess], body: impl FnOnce(&ReduxView<'_, T>)) -> TaskId {
         let id = self.next_task;
         self.next_task = id.next();
-        let executor = self.mapping.worker_of(id, self.num_workers);
-        assert!(executor.index() < self.num_workers);
-
-        if executor == self.me {
+        let executor = self.mapping.worker_of(id, self.num_workers());
+        assert!(executor.index() < self.num_workers());
+        self.cx.tasks_visited += 1;
+        if executor != self.cx.me {
+            self.cx.ops.declares += accesses.len() as u64;
             for a in accesses {
-                self.ops.gets += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &self.locals[a.data.index()];
-                let expected_write = l.last_registered_write;
-                let expected_reads = l.nb_reads_since_write;
-                let expected_accs = l.nb_accs_since_write;
-                let ready = |o| {
-                    s.last_executed_write.load(o) == expected_write
-                        && match a.mode {
-                            RMode::Read => s.nb_accs_since_write.load(o) == expected_accs,
-                            RMode::Accumulate => s.nb_reads_since_write.load(o) == expected_reads,
-                            RMode::Write | RMode::ReadWrite => {
-                                s.nb_reads_since_write.load(o) == expected_reads
-                                    && s.nb_accs_since_write.load(o) == expected_accs
-                            }
-                        }
-                };
-                // Poll first: a ready get takes no clock.
-                if ready(Ordering::Acquire) {
-                    continue;
-                }
-                let wait_start = self.measure.then(Instant::now);
-                let wo = s.wait_until(self.plan.policy(a.data.index()), ready);
-                if wo.waited() {
-                    self.ops.waits += 1;
-                    self.ops.poll_loops += wo.polls;
-                    if let Some(c) = self.ctr {
-                        c.add_spins(wo.polls);
-                        c.add_parks(wo.parks);
-                    }
-                    if let Some(t0) = wait_start {
-                        self.idle_time += t0.elapsed();
-                    }
-                }
-            }
-
-            // Serialize accumulation bodies: take the body locks of every
-            // accumulated object in ascending DataId order (global order =>
-            // no deadlock among concurrent accumulators).
-            let mut acc_targets: Vec<DataId> = accesses
-                .iter()
-                .filter(|a| a.mode == RMode::Accumulate)
-                .map(|a| a.data)
-                .collect();
-            acc_targets.sort_unstable();
-            let _body_guards: Vec<_> = acc_targets
-                .iter()
-                .map(|d| self.shared[d.index()].body_lock.lock())
-                .collect();
-
-            let view = ReduxView {
-                accesses,
-                store: self.store,
-            };
-            let start = self.clock.start();
-            body(&view);
-            self.clock.stop(start);
-            self.tasks_executed += 1;
-            if let Some(c) = self.ctr {
-                c.inc_tasks();
-            }
-            drop(_body_guards);
-
-            for a in accesses {
-                self.ops.terminates += 1;
-                let s = &self.shared[a.data.index()];
-                let l = &mut self.locals[a.data.index()];
-                // Under Park the publishing store is SeqCst so it takes a
-                // place in the total order against the waiter's SeqCst
-                // increment-then-re-check (see `wake_if_waiters`).
-                let park = self.plan.strategy(a.data.index()) == WaitStrategy::Park;
-                let publish = if park {
-                    Ordering::SeqCst
-                } else {
-                    Ordering::Release
-                };
-                match a.mode {
-                    RMode::Read => {
-                        s.nb_reads_since_write.fetch_add(1, publish);
-                        l.nb_reads_since_write += 1;
-                    }
-                    RMode::Accumulate => {
-                        s.nb_accs_since_write.fetch_add(1, publish);
-                        l.nb_accs_since_write += 1;
-                    }
-                    RMode::Write | RMode::ReadWrite => {
-                        s.nb_reads_since_write.store(0, Ordering::Relaxed);
-                        s.nb_accs_since_write.store(0, Ordering::Relaxed);
-                        s.last_executed_write.store(id.0, publish);
-                        l.nb_reads_since_write = 0;
-                        l.nb_accs_since_write = 0;
-                        l.last_registered_write = id.0;
-                    }
-                }
-                if park && !s.wake_if_waiters() {
-                    if let Some(c) = self.ctr {
-                        c.inc_wakes_elided();
-                    }
-                }
-            }
-        } else {
-            for a in accesses {
-                self.ops.declares += 1;
                 let l = &mut self.locals[a.data.index()];
                 match a.mode {
                     RMode::Read => l.nb_reads_since_write += 1,
@@ -461,6 +347,104 @@ impl<'a, T> ReduxCtx<'a, T> {
                         l.nb_accs_since_write = 0;
                         l.last_registered_write = id.0;
                     }
+                }
+            }
+            return id;
+        }
+
+        // No body starts once the abort is observed.
+        if self.cx.env.abort.armed() {
+            abandon_flow();
+        }
+        for a in accesses {
+            self.cx.ops.gets += 1;
+            let s = &self.shared[a.data.index()];
+            let l = &self.locals[a.data.index()];
+            let expected_write = l.last_registered_write;
+            let expected_reads = l.nb_reads_since_write;
+            let expected_accs = l.nb_accs_since_write;
+            let ready = |o| {
+                s.last_executed_write.load(o) == expected_write
+                    && match a.mode {
+                        RMode::Read => s.nb_accs_since_write.load(o) == expected_accs,
+                        RMode::Accumulate => s.nb_reads_since_write.load(o) == expected_reads,
+                        RMode::Write | RMode::ReadWrite => {
+                            s.nb_reads_since_write.load(o) == expected_reads
+                                && s.nb_accs_since_write.load(o) == expected_accs
+                        }
+                    }
+            };
+            // Poll first: a ready get takes no clock.
+            if ready(Ordering::Acquire) {
+                continue;
+            }
+            let t0 = self.cx.wait_clock();
+            let policy = self.cx.plan.policy(a.data.index());
+            let wr = s.wait_until(policy, self.cx.env.abort, ready);
+            self.cx
+                .note_wait(id, a.data, a.mode != RMode::Read, t0, wr.outcome);
+            if wr.verdict != WaitVerdict::Ready {
+                abandon_flow();
+            }
+        }
+
+        // Serialize accumulation bodies: take the body locks of every
+        // accumulated object in ascending DataId order (global order =>
+        // no deadlock among concurrent accumulators).
+        let mut acc_targets: Vec<DataId> = accesses
+            .iter()
+            .filter(|a| a.mode == RMode::Accumulate)
+            .map(|a| a.data)
+            .collect();
+        acc_targets.sort_unstable();
+        let body_guards: Vec<_> = acc_targets
+            .iter()
+            .map(|d| self.shared[d.index()].body_lock.lock())
+            .collect();
+        let view = ReduxView {
+            accesses,
+            store: self.store,
+        };
+        if !self.cx.run_body_or_abort(id, || body(&view)) {
+            abandon_flow();
+        }
+        drop(body_guards);
+        self.cx.complete(id, true);
+
+        for a in accesses {
+            self.cx.ops.terminates += 1;
+            let s = &self.shared[a.data.index()];
+            let l = &mut self.locals[a.data.index()];
+            // Under Park the publishing store is SeqCst so it takes a
+            // place in the total order against the waiter's SeqCst
+            // increment-then-re-check (see `wake_if_waiters`).
+            let park = self.cx.plan.strategy(a.data.index()) == WaitStrategy::Park;
+            let publish = if park {
+                Ordering::SeqCst
+            } else {
+                Ordering::Release
+            };
+            match a.mode {
+                RMode::Read => {
+                    s.nb_reads_since_write.fetch_add(1, publish);
+                    l.nb_reads_since_write += 1;
+                }
+                RMode::Accumulate => {
+                    s.nb_accs_since_write.fetch_add(1, publish);
+                    l.nb_accs_since_write += 1;
+                }
+                RMode::Write | RMode::ReadWrite => {
+                    s.nb_reads_since_write.store(0, Ordering::Relaxed);
+                    s.nb_accs_since_write.store(0, Ordering::Relaxed);
+                    s.last_executed_write.store(id.0, publish);
+                    l.nb_reads_since_write = 0;
+                    l.nb_accs_since_write = 0;
+                    l.last_registered_write = id.0;
+                }
+            }
+            if park && !s.wake_if_waiters() {
+                if let Some(c) = self.cx.ctr {
+                    c.inc_wakes_elided();
                 }
             }
         }
@@ -519,6 +503,7 @@ impl<'a, T> ReduxView<'a, T> {
 mod tests {
     use super::*;
     use rio_stf::RoundRobin;
+    use std::time::Duration;
 
     fn rio(workers: usize) -> ReduxRio {
         ReduxRio::new(RioConfig::with_workers(workers))
@@ -552,6 +537,39 @@ mod tests {
             0,
             "met while spinning"
         );
+    }
+
+    /// T1 (W0) writes D0 and panics while T2 (W1) waits to read D0: the
+    /// waiter must observe the abort under every wait strategy, and the
+    /// body's own payload must surface. The run goes on a helper thread so
+    /// a hang fails the test instead of stalling the suite.
+    #[test]
+    fn a_body_panic_aborts_instead_of_hanging() {
+        for wait in [
+            WaitStrategy::Spin,
+            WaitStrategy::SpinYield,
+            WaitStrategy::Park,
+        ] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let store = DataStore::from_vec(vec![0u64]);
+                let cfg = RioConfig::with_workers(2).wait(wait);
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ReduxRio::new(cfg).run(&store, &RoundRobin, |ctx| {
+                        ctx.task(&[RAccess::write(DataId(0))], |_| {
+                            panic!("redux body exploded")
+                        });
+                        ctx.task(&[RAccess::read(DataId(0))], |_| {});
+                    })
+                }));
+                let payload = result.expect_err("the body's panic must propagate");
+                let _ = tx.send(payload.downcast_ref::<&str>().map(|m| m.to_string()));
+            });
+            let msg = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("a panicking body hung the {wait} run"));
+            assert_eq!(msg.as_deref(), Some("redux body exploded"), "{wait}");
+        }
     }
 
     #[test]

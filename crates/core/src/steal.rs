@@ -40,9 +40,13 @@
 //! DESIGN.md §14 for the full argument.
 //!
 //! Stealing is **opt-in** ([`crate::RioConfig::stealing`]), off by
-//! default, and currently layered over the interpreted and compiled
-//! paths (the pruned and hybrid walkers ignore the policy: a pruned
-//! worker's private view is partial, so it cannot price foreign guards).
+//! default, and layered over the interpreted and compiled paths, the two
+//! that know every task ahead of time. The others reject the policy
+//! before any worker spawns ([`rio_stf::ExecError::UnsupportedOption`]):
+//! a pruned worker's private view is partial, so it cannot price foreign
+//! guards; the hybrid walk already spends the claim slots on its unmapped
+//! tasks; and a replayed flow (the flow API, reductions) submits its
+//! tasks one at a time, so there is nothing ahead to scan.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -277,6 +281,9 @@ impl Cursor {
 /// (under `Park`, this is the moment it actually parks).
 pub(crate) const EMPTY_SCAN_LIMIT: usize = 8;
 
+/// A task kernel as the thief calls it: `kernel(worker, task)`.
+pub(crate) type Kernel<'a> = dyn Fn(rio_stf::WorkerId, &rio_stf::TaskDesc) + Sync + 'a;
+
 /// Everything one worker's steal attempts need, threaded through
 /// [`crate::graph::WorkerCtx`]. `Copy`: plain references into per-run
 /// state owned by the runtime shell.
@@ -286,6 +293,8 @@ pub(crate) struct StealState<'a> {
     pub(crate) claims: &'a ClaimTable,
     /// This run's epoch in `claims`.
     pub(crate) epoch: u32,
+    /// The run's kernel, which a thief runs on the tasks it claims.
+    pub(crate) kernel: &'a Kernel<'a>,
     pub(crate) scan: ScanSource<'a>,
 }
 

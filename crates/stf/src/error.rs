@@ -53,17 +53,26 @@ pub enum ExecError {
     /// per-epoch read count overflows the packed epoch word); no worker
     /// was spawned.
     InvalidGraph(GraphError),
+    /// The configuration sets an option the chosen execution path cannot
+    /// honour; no worker was spawned.
+    UnsupportedOption {
+        /// The option, e.g. `RioConfig::stealing`.
+        option: &'static str,
+        /// The execution path that rejected it, e.g. `pruned`.
+        path: &'static str,
+    },
 }
 
 impl ExecError {
     /// Short machine-friendly tag (`task-panicked`, `stalled`,
-    /// `invalid-mapping`).
+    /// `invalid-mapping`, `invalid-graph`, `unsupported-option`).
     pub fn kind(&self) -> &'static str {
         match self {
             ExecError::TaskPanicked { .. } => "task-panicked",
             ExecError::Stalled(_) => "stalled",
             ExecError::InvalidMapping(_) => "invalid-mapping",
             ExecError::InvalidGraph(_) => "invalid-graph",
+            ExecError::UnsupportedOption { .. } => "unsupported-option",
         }
     }
 
@@ -97,6 +106,9 @@ impl fmt::Display for ExecError {
             ExecError::Stalled(d) => write!(f, "{d}"),
             ExecError::InvalidMapping(e) => write!(f, "invalid mapping: {e}"),
             ExecError::InvalidGraph(e) => write!(f, "invalid graph: {e}"),
+            ExecError::UnsupportedOption { option, path } => {
+                write!(f, "{option} is not supported on the {path} path")
+            }
         }
     }
 }
@@ -112,6 +124,11 @@ impl fmt::Debug for ExecError {
             ExecError::Stalled(d) => f.debug_tuple("Stalled").field(d).finish(),
             ExecError::InvalidMapping(e) => f.debug_tuple("InvalidMapping").field(e).finish(),
             ExecError::InvalidGraph(e) => f.debug_tuple("InvalidGraph").field(e).finish(),
+            ExecError::UnsupportedOption { option, path } => f
+                .debug_struct("UnsupportedOption")
+                .field("option", option)
+                .field("path", path)
+                .finish(),
         }
     }
 }

@@ -1,15 +1,17 @@
-//! Equivalence of compiled and interpreted execution: on random flows,
+//! Equivalence of the static-mapping execution paths: on random flows,
 //! mappings, worker counts and wait strategies, `Executor::compile` +
-//! `CompiledFlow::run` must be observationally identical to
-//! `Executor::run` — same per-worker kernel invocation orders, same
-//! final store contents — and both must equal the sequential oracle.
+//! `CompiledFlow::run`, the hybrid walk over a total mapping and the
+//! flow API must be observationally identical to `Executor::run` — same
+//! per-worker kernel invocation orders, same final store contents — and
+//! all must equal the sequential oracle.
 //! Coalescing only changes *how* private state is updated between a
 //! worker's own tasks, never which tasks run where in what order; the
 //! accesses compiled out of the protocol (worker-private data) change
 //! neither.
 
 use proptest::prelude::*;
-use rio::core::{Executor, RioConfig, WaitStrategy};
+use rio::core::hybrid::{Total, Unmapped};
+use rio::core::{Executor, OpCounts, Rio, RioConfig, WaitStrategy};
 use rio::stf::{
     Access, AccessMode, DataId, DataStore, ExecError, RoundRobin, TableMapping, TaskDesc,
     TaskGraph, TaskId, WorkerId,
@@ -80,14 +82,29 @@ const WAITS: [WaitStrategy; 3] = [
     WaitStrategy::Park,
 ];
 
-/// Runs `graph` under `cfg`/`mapping`, compiled or interpreted, and
-/// returns `(final store, per-worker kernel invocation orders)`.
-fn observe(
-    graph: &TaskGraph,
-    cfg: &RioConfig,
-    mapping: &TableMapping,
-    compiled: bool,
-) -> (Vec<u64>, Vec<Vec<TaskId>>) {
+/// The execution paths that take a static total mapping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    Interpreted,
+    Compiled,
+    /// The hybrid walk over `Total(mapping)`: nothing left to claim.
+    Hybrid,
+    /// The flow API replaying the graph's tasks.
+    Flow,
+}
+
+const PATHS: [Path; 4] = [Path::Interpreted, Path::Compiled, Path::Hybrid, Path::Flow];
+
+/// What one run showed: the final store, each worker's kernel
+/// invocation order and each worker's protocol op counts.
+struct Observed {
+    store: Vec<u64>,
+    orders: Vec<Vec<TaskId>>,
+    ops: Vec<OpCounts>,
+}
+
+/// Runs `graph` under `cfg`/`mapping` through `path`.
+fn observe(graph: &TaskGraph, cfg: &RioConfig, mapping: &TableMapping, path: Path) -> Observed {
     let store = DataStore::filled(graph.num_data(), 0u64);
     let orders: Vec<Mutex<Vec<TaskId>>> =
         (0..cfg.workers).map(|_| Mutex::new(Vec::new())).collect();
@@ -95,23 +112,35 @@ fn observe(
         orders[w.index()].lock().unwrap().push(t.id);
         hash_kernel(&store, t);
     };
-    if compiled {
-        Executor::new(cfg.clone())
-            .mapping(mapping)
-            .compile(graph)
-            .run(kernel);
-    } else {
-        Executor::new(cfg.clone())
-            .mapping(mapping)
-            .run(graph, kernel);
-    }
-    (
-        store.into_vec(),
-        orders
+    let exec = Executor::new(cfg.clone()).mapping(mapping);
+    let total = Total(mapping);
+    let report = match path {
+        Path::Interpreted => exec.run(graph, kernel).report,
+        Path::Compiled => exec.compile(graph).run(kernel).report,
+        Path::Hybrid => exec.hybrid(&total).run(graph, kernel).report,
+        Path::Flow => Rio::new(cfg.clone()).run(&store, mapping, |ctx| {
+            let me = ctx.worker();
+            for t in graph.tasks() {
+                ctx.task(&t.accesses, |_| kernel(me, t));
+            }
+        }),
+    };
+    Observed {
+        store: store.into_vec(),
+        orders: orders
             .into_iter()
             .map(|m| m.into_inner().unwrap())
             .collect(),
-    )
+        ops: report.workers.iter().map(|w| w.ops).collect(),
+    }
+}
+
+/// Per-worker `(gets, declares, terminates)`: the timing-free op counts.
+fn protocol_ops(o: &Observed) -> Vec<(u64, u64, u64)> {
+    o.ops
+        .iter()
+        .map(|ops| (ops.gets, ops.declares, ops.terminates))
+        .collect()
 }
 
 /// `graph` with scratch data added under `mapping`: per the bits of
@@ -177,19 +206,22 @@ proptest! {
         let oracle = run_sequential(&graph);
         for wait in WAITS {
             let cfg = RioConfig::with_workers(workers).wait(wait);
-            let (interp_store, interp_orders) = observe(&graph, &cfg, &mapping, false);
-            let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
-            prop_assert_eq!(&comp_orders, &interp_orders,
+            let interp = observe(&graph, &cfg, &mapping, Path::Interpreted);
+            let comp = observe(&graph, &cfg, &mapping, Path::Compiled);
+            prop_assert_eq!(&comp.orders, &interp.orders,
                 "per-worker kernel invocation orders diverged under {}", wait);
-            prop_assert_eq!(&comp_store, &interp_store, "store diverged under {}", wait);
-            prop_assert_eq!(&comp_store, &oracle, "oracle mismatch under {}", wait);
+            prop_assert_eq!(&comp.store, &interp.store, "store diverged under {}", wait);
+            prop_assert_eq!(&comp.store, &oracle, "oracle mismatch under {}", wait);
         }
     }
 
-    /// The tentpole equivalence: compiled and interpreted runs agree on
-    /// per-worker kernel invocation orders and final store contents —
-    /// and both match the sequential oracle — for random graphs, random
-    /// table mappings, any worker count and every wait strategy.
+    /// The tentpole equivalence: the compiled, hybrid and flow-API runs
+    /// agree with the interpreted run on per-worker kernel invocation
+    /// orders and final store contents — and all match the sequential
+    /// oracle — for random graphs, random table mappings, any worker
+    /// count and every wait strategy. The hybrid and flow-API walks run
+    /// on the interpreted engine, so their per-worker gets, declares and
+    /// terminates match it exactly too.
     #[test]
     fn compiled_matches_interpreted(
         graph in arb_graph(40, 5),
@@ -199,12 +231,47 @@ proptest! {
     ) {
         let cfg = RioConfig::with_workers(workers).wait(WAITS[wait_idx]);
         let mapping = arb_table_mapping(graph.len(), workers, map_seed);
-        let (interp_store, interp_orders) = observe(&graph, &cfg, &mapping, false);
-        let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
-        prop_assert_eq!(&comp_orders, &interp_orders,
-            "per-worker kernel invocation orders diverged");
-        prop_assert_eq!(&comp_store, &interp_store);
-        prop_assert_eq!(comp_store, run_sequential(&graph), "oracle mismatch");
+        let interp = observe(&graph, &cfg, &mapping, Path::Interpreted);
+        prop_assert_eq!(&interp.store, &run_sequential(&graph), "oracle mismatch");
+        for path in PATHS {
+            let run = observe(&graph, &cfg, &mapping, path);
+            prop_assert_eq!(&run.orders, &interp.orders,
+                "{:?}: per-worker kernel invocation orders diverged", path);
+            prop_assert_eq!(&run.store, &interp.store, "{:?}: store diverged", path);
+            if matches!(path, Path::Hybrid | Path::Flow) {
+                prop_assert_eq!(protocol_ops(&run), protocol_ops(&interp),
+                    "{:?}: per-worker op counts diverged", path);
+            }
+        }
+    }
+
+    /// A fully unmapped hybrid run claims every task exactly once: the
+    /// claims sum to the flow length, each worker lost every race it did
+    /// not win, and the store matches the oracle.
+    #[test]
+    fn unmapped_hybrid_claims_every_task_once(
+        graph in arb_graph(40, 5),
+        workers in 1usize..5,
+        wait_idx in 0usize..3,
+    ) {
+        let cfg = RioConfig::with_workers(workers).wait(WAITS[wait_idx]);
+        let store = DataStore::filled(graph.num_data(), 0u64);
+        let run = Executor::new(cfg)
+            .hybrid(&Unmapped)
+            .run(&graph, |_, t: &TaskDesc| hash_kernel(&store, t));
+        let stats = run.hybrid.expect("a hybrid run reports claim statistics");
+        let tasks = graph.len() as u64;
+        prop_assert_eq!(stats.claimed_per_worker.iter().sum::<u64>(), tasks);
+        for (w, (&claimed, &lost)) in stats
+            .claimed_per_worker
+            .iter()
+            .zip(&stats.lost_races_per_worker)
+            .enumerate()
+        {
+            prop_assert_eq!(lost, tasks - claimed, "worker {}", w);
+        }
+        prop_assert_eq!(run.report.tasks_executed(), tasks);
+        prop_assert_eq!(store.into_vec(), run_sequential(&graph));
     }
 
     /// Compilation is also equivalent to the *pruned* interpreted path
@@ -234,9 +301,9 @@ proptest! {
             .map(|m| m.into_inner().unwrap())
             .collect();
 
-        let (comp_store, comp_orders) = observe(&graph, &cfg, &mapping, true);
-        prop_assert_eq!(comp_orders, pruned_orders);
-        prop_assert_eq!(comp_store, pruned_store);
+        let comp = observe(&graph, &cfg, &mapping, Path::Compiled);
+        prop_assert_eq!(comp.orders, pruned_orders);
+        prop_assert_eq!(comp.store, pruned_store);
     }
 
     /// Compiled state is per-run: after a run aborts with
